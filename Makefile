@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race chaos fuzz fuzz-smoke bench-lattice bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
+.PHONY: build vet test race chaos fuzz fuzz-smoke bench-lattice bench-selftest bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,20 @@ fuzz:
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 5s
 
-# Sequential-vs-parallel exploration benchmarks (baseline in
-# BENCH_lattice.json; regenerate it from this output when the explorer
-# or the host changes).
+# Lattice exploration benchmarks: the inline and worker-pool level step
+# on a never-violated grid, and offline vs online on a violating
+# lattice (baseline in BENCH_lattice.json; regenerate it from this
+# output when the explorer or the host changes).
 bench-lattice:
 	$(GO) test -run '^$$' -bench 'BenchmarkExplore' -benchmem -benchtime 5x .
+
+# Benchmark self-test: build the perfbench module (its own Go module,
+# outside `go test ./...`, importing gompax through a replace) and run
+# every workload at tiny size on the default and held-out seeds,
+# checking the exact metric set and zero failed sessions. This is the
+# one check that catches a gompax API change breaking the benchmark.
+bench-selftest:
+	python3 perfbench/selftest.py
 
 # Clock substrate gate: the BenchmarkPipelineClocks workloads on the
 # interned clock.Ref pipeline must allocate at least 20% less per op

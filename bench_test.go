@@ -373,6 +373,83 @@ func BenchmarkExploreParallel2(b *testing.B)  { benchExplore(b, 2) }
 func BenchmarkExploreParallel4(b *testing.B)  { benchExplore(b, 4) }
 func BenchmarkExploreParallel8(b *testing.B)  { benchExplore(b, 8) }
 
+// benchPulses builds the two-thread pulse computation: each thread
+// alternately writes its flag 1 then 0, `pulses` times, with no
+// cross-thread causality. Under !(v0 = 1 /\ v1 = 1) every cut where
+// both flags are up violates, so the violation count grows with the
+// lattice: pulses² violating cuts among (2·pulses+1)².
+func benchPulses(pulses int) (*lattice.Computation, []event.Message, *monitor.Program, error) {
+	m := map[string]int64{}
+	var msgs []event.Message
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprintf("v%d", i)
+		m[name] = 0
+		for k := 1; k <= 2*pulses; k++ {
+			comps := make([]uint64, 2)
+			comps[i] = uint64(k)
+			msgs = append(msgs, event.Message{
+				Event: event.Event{Thread: i, Index: uint64(k), Kind: event.Write, Var: name, Value: int64(k % 2), Relevant: true},
+				Clock: clock.Global().Intern(comps),
+			})
+		}
+	}
+	comp, err := lattice.NewComputation(logic.StateFromMap(m), 2, msgs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	prog, err := monitor.Compile(logic.MustParseFormula(`!(v0 = 1 /\ v1 = 1)`))
+	return comp, msgs, prog, err
+}
+
+// BenchmarkExploreViolating times both analyzers on a lattice with a
+// violation on every fourth cut (benchPulses(48): 9,409 cuts, 2,304
+// violating): offline Analyze, and the online analyzer fed the same
+// messages in thread order.
+func BenchmarkExploreViolating(b *testing.B) {
+	comp, msgs, prog, err := benchPulses(48)
+	if err != nil {
+		b.Fatal(err)
+	}
+	report := func(b *testing.B, res predict.Result) {
+		b.ReportMetric(float64(res.Stats.Cuts), "cuts")
+		b.ReportMetric(float64(len(res.Violations)), "violations")
+	}
+	b.Run("offline", func(b *testing.B) {
+		b.ReportAllocs()
+		var res predict.Result
+		for i := 0; i < b.N; i++ {
+			if res, err = predict.Analyze(prog, comp, predict.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b, res)
+	})
+	b.Run("online", func(b *testing.B) {
+		b.ReportAllocs()
+		var res predict.Result
+		for i := 0; i < b.N; i++ {
+			o, err := predict.NewOnline(prog, comp.Initial(), 2, predict.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, m := range msgs {
+				if err := o.Feed(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for t := 0; t < 2; t++ {
+				if err := o.FinishThread(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if res, err = o.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b, res)
+	})
+}
+
 // --- Ablation: all-runs-in-parallel vs per-run checking --------------------
 
 // The paper's key engineering idea is checking all runs in parallel

@@ -10,7 +10,8 @@
 //
 //   - Computation.Successors supports the paper's level-by-level,
 //     memory-bounded traversal (at most two adjacent levels live at a
-//     time); the predict package uses it.
+//     time). The predict package runs the same traversal over the
+//     per-thread messages (Message) and the computation's clock Table.
 //   - Build materializes the full lattice with edges, for
 //     visualization, run enumeration and cross-checking against
 //     brute-force linear-extension counting.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"gompax/internal/lattice"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
 )
@@ -76,4 +77,36 @@ func TestAnalyzePreallocatesLevelWidths(t *testing.T) {
 			t.Errorf("workers=%d: LevelWidths cap %d, want exactly the hinted 9", workers, cap(res.Stats.LevelWidths))
 		}
 	}
+}
+
+// TestOnlineAllocsWithinOffline: Online runs the same level driver as
+// Analyze, so feeding it a computation may cost only the stream
+// buffering on top of what Analyze allocates for that computation. The
+// pulse computation's 2,304 violating cuts (of 9,409) make any per-level
+// rescan of the violations found so far show up as a multiple.
+func TestOnlineAllocsWithinOffline(t *testing.T) {
+	msgs, initial := pulseMessages(2, 48)
+	comp, err := lattice.NewComputation(initial, 2, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := monitor.MustCompile(logic.MustParseFormula(`!(v0 = 1 /\ v1 = 1)`))
+	var off, on Result
+	offline := testing.AllocsPerRun(5, func() {
+		if off, err = Analyze(prog, comp, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	online := testing.AllocsPerRun(5, func() {
+		on = runOnlineMode(t, prog, initial, 2, msgs, 0)
+	})
+	for _, res := range []Result{off, on} {
+		if res.Stats.Cuts != 9409 || len(res.Violations) != 2304 {
+			t.Fatalf("pulse geometry drifted: %d cuts, %d violations", res.Stats.Cuts, len(res.Violations))
+		}
+	}
+	if online > 1.25*offline {
+		t.Fatalf("online allocates %.0f per run, %.2f× offline's %.0f (bound 1.25×)", online, online/offline, offline)
+	}
+	t.Logf("allocs per run: offline %.0f, online %.0f (%.2f×)", offline, online, online/offline)
 }

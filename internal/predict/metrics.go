@@ -4,13 +4,13 @@ import (
 	"gompax/internal/telemetry"
 )
 
-// Telemetry for the lattice explorers. The hot loops never touch these
-// metrics directly: every explorer already accumulates per-level tallies
-// (new cuts, stepped pairs, successor edges, violating pairs) in plain
-// ints, and flushes them here once per sealed level — a handful of
-// atomic adds per level, zero per-edge cost. The live gauges therefore
-// track the analysis level by level, which is exactly the granularity
-// the paper's online construction works at.
+// Telemetry for lattice exploration. The hot loops never touch these
+// metrics directly: the level step accumulates per-level tallies (new
+// cuts, stepped pairs, successor edges, violating pairs) in plain ints,
+// and the level driver flushes them here once per sealed level — a
+// handful of atomic adds per level, zero per-edge cost. The live gauges
+// therefore track the analysis level by level, which is exactly the
+// granularity the paper's online construction works at.
 var (
 	mCuts = telemetry.Default().NewCounter("gompax_lattice_cuts_total",
 		"Distinct consistent cuts explored across all analyses.")

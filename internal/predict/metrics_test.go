@@ -64,6 +64,29 @@ func gridMessages(threads, perThread int) ([]event.Message, logic.State) {
 	return msgs, logic.StateFromMap(im)
 }
 
+// pulseMessages builds the pulse computation: each thread alternately
+// writes its flag v<i> to 1 then back to 0, pulses times, with no
+// cross-thread causality. The lattice has (2·pulses+1)^threads cuts,
+// and under !(v0 = 1 /\ v1 = 1) the pulses² cuts where both of the
+// first two flags are up violate.
+func pulseMessages(threads, pulses int) ([]event.Message, logic.State) {
+	im := map[string]int64{}
+	var msgs []event.Message
+	for i := 0; i < threads; i++ {
+		name := fmt.Sprintf("v%d", i)
+		im[name] = 0
+		for k := 1; k <= 2*pulses; k++ {
+			comps := make([]uint64, threads)
+			comps[i] = uint64(k)
+			msgs = append(msgs, event.Message{
+				Event: event.Event{Thread: i, Kind: event.Write, Var: name, Value: int64(k % 2), Relevant: true},
+				Clock: clock.Global().Intern(comps),
+			})
+		}
+	}
+	return msgs, logic.StateFromMap(im)
+}
+
 // runOnlineMode drives the online analyzer over msgs in delivery order
 // and returns its final result.
 func runOnlineMode(t *testing.T, prog *monitor.Program, initial logic.State, threads int, msgs []event.Message, workers int) Result {
@@ -93,8 +116,12 @@ func runOnlineMode(t *testing.T, prog *monitor.Program, initial logic.State, thr
 // (offline/online × sequential/parallel) must flush identical counter
 // totals for the same trace — cuts, pairs, edges, dedup hits, levels
 // and violating pairs are properties of the computation, not of the
-// schedule. Deliberately not parallel: it reads deltas of the
-// process-wide counters, and Go runs non-parallel tests exclusively.
+// schedule — and report the same violations and statistics. Violations
+// are identified by their cut: on the pulse fixture two monitor states
+// violate at every cut where both flags are up, and each such cut is
+// still reported once. Deliberately not parallel: it reads deltas of
+// the process-wide counters, and Go runs non-parallel tests
+// exclusively.
 func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 	type fixture struct {
 		name    string
@@ -102,8 +129,10 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 		initial logic.State
 		threads int
 		prog    *monitor.Program
+		viols   int // expected violation count, -1 = unchecked
 	}
 	gm, gi := gridMessages(3, 3)
+	pm, pi := pulseMessages(2, 48)
 	crossingMsgs := []event.Message{
 		msg(0, "x", 0, 1, 0),
 		msg(1, "z", 1, 1, 1),
@@ -111,8 +140,9 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 		msg(1, "x", 1, 1, 2),
 	}
 	fixtures := []fixture{
-		{"grid3x3", gm, gi, 3, monitor.MustCompile(logic.MustParseFormula("g0 < 3"))},
-		{"crossing", crossingMsgs, logic.StateFromMap(map[string]int64{"x": -1, "y": 0, "z": 0}), 2, crossingProp},
+		{"grid3x3", gm, gi, 3, monitor.MustCompile(logic.MustParseFormula("g0 < 3")), -1},
+		{"crossing", crossingMsgs, logic.StateFromMap(map[string]int64{"x": -1, "y": 0, "z": 0}), 2, crossingProp, -1},
+		{"pulse2x48", pm, pi, 2, monitor.MustCompile(logic.MustParseFormula(`!(v0 = 1 /\ v1 = 1) \/ [v0 = 1, v1 = 1)`)), 48 * 48},
 	}
 
 	for _, fx := range fixtures {
@@ -122,7 +152,7 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 		}
 
 		var baseline *counterTotals
-		var baselineStats Stats
+		var baselineRes Result
 		runMode := func(mode string, f func() Result) {
 			before := snapshotTotals()
 			res := f()
@@ -136,16 +166,22 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 			if delta.dedup != delta.edges-(delta.cuts-1) {
 				t.Errorf("%s/%s: dedup %d != edges %d - new cuts %d", fx.name, mode, delta.dedup, delta.edges, delta.cuts-1)
 			}
+			if fx.viols >= 0 && len(res.Violations) != fx.viols {
+				t.Errorf("%s/%s: %d violations, want one per violating cut (%d)", fx.name, mode, len(res.Violations), fx.viols)
+			}
 			if baseline == nil {
 				baseline = &delta
-				baselineStats = res.Stats
+				baselineRes = res
 				return
 			}
 			if delta != *baseline {
 				t.Errorf("%s/%s: counter totals %+v differ from first mode's %+v", fx.name, mode, delta, *baseline)
 			}
-			if !reflect.DeepEqual(res.Stats, baselineStats) {
-				t.Errorf("%s/%s: stats %+v differ from first mode's %+v", fx.name, mode, res.Stats, baselineStats)
+			if !reflect.DeepEqual(res.Stats, baselineRes.Stats) {
+				t.Errorf("%s/%s: stats %+v differ from first mode's %+v", fx.name, mode, res.Stats, baselineRes.Stats)
+			}
+			if renderResult(res) != renderResult(baselineRes) {
+				t.Errorf("%s/%s: %d violations differ from first mode's %d", fx.name, mode, len(res.Violations), len(baselineRes.Violations))
 			}
 		}
 

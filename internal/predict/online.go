@@ -2,7 +2,6 @@ package predict
 
 import (
 	"fmt"
-	"sort"
 
 	"gompax/internal/clock"
 	"gompax/internal/event"
@@ -22,11 +21,13 @@ import (
 // component gives its position). The frontier advances one full level
 // at a time, as soon as every event the level could need is either
 // delivered or ruled out by a thread-completion notice. Violations are
-// reported as soon as the level containing them is analyzed.
+// reported as soon as the level containing them is analyzed. Analyze
+// runs a fully delivered session through the same level driver.
 type Online struct {
 	prog    *monitor.Program
 	initial logic.State
 	threads int
+	opts    Options // Workers normalized (see normalizeWorkers)
 
 	events    [][]event.Message          // contiguous prefixes per thread
 	pending   []map[uint64]event.Message // buffered out-of-order messages
@@ -37,19 +38,16 @@ type Online struct {
 	// table interns the cut clocks the analysis mints, so frontier Refs
 	// compare by identity and Ticks share structure with their parents.
 	table *clock.Table
-	// frontier maps cut clocks to frontier entries (the shared pentry of
-	// parallel.go; each entry's keys map each reachable monitor state
-	// to one representative path, nil unless Counterexamples was set).
-	frontier map[clock.Ref]*pentry
-	result   Result
-	maxCuts  int
-	maxWidth int
-	paths    bool
-	lossy    bool
-	workers  int
-	closed   bool
-	progress *Progress
-	ls       levelSpans
+	// frontier is the last sealed level, sorted by cut clock (each
+	// entry's keys map each reachable monitor state to one
+	// representative path, nil unless Counterexamples was set).
+	frontier []*pentry
+	// scratch is the inline level step's monitor, restored to each
+	// pair's pre-step state before stepping.
+	scratch *monitor.Monitor
+	result  Result
+	closed  bool
+	ls      levelSpans
 }
 
 // NewOnline starts an online analysis session. The root monitor is
@@ -59,50 +57,54 @@ func NewOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 	if threads <= 0 {
 		return nil, fmt.Errorf("predict: online analysis needs a positive thread count")
 	}
+	// The stream length is unknown up front; seed a level capacity that
+	// covers most sessions and let append double beyond it.
+	return newOnline(prog, initial, threads, opts, "online", clock.NewTable(), 64)
+}
+
+// newOnline builds the session state shared by NewOnline and Analyze:
+// mode labels the analyses counter, table interns the cut clocks, and
+// levels is the LevelWidths capacity to reserve.
+func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Options, mode string, table *clock.Table, levels int) (*Online, error) {
+	opts.Workers = normalizeWorkers(opts.Workers)
 	o := &Online{
 		prog:      prog,
 		initial:   initial,
 		threads:   threads,
+		opts:      opts,
 		events:    make([][]event.Message, threads),
 		pending:   make([]map[uint64]event.Message, threads),
 		final:     make([]bool, threads),
 		announced: make([]bool, threads),
-		table:     clock.NewTable(),
-		frontier:  map[clock.Ref]*pentry{},
-		maxCuts:   opts.MaxCuts,
-		maxWidth:  opts.MaxWidth,
-		paths:     opts.Counterexamples,
-		lossy:     opts.Lossy,
-		workers:   normalizeWorkers(opts.Workers),
-		progress:  opts.Progress,
+		table:     table,
 		ls:        newLevelSpans(opts.Span),
 	}
 	for i := range o.pending {
 		o.pending[i] = map[uint64]event.Message{}
 	}
+	mAnalyses.With(mode, explorerLabel(opts.Workers)).Inc()
 	m := prog.NewMonitor()
 	verdict, err := m.Step(initial)
 	if err != nil {
 		return nil, err
 	}
-	mAnalyses.With("online", explorerLabel(o.workers)).Inc()
 	o.result.Stats = Stats{Cuts: 1, Pairs: 1, Levels: 1, MaxWidth: 1, MaxPairWidth: 1, LevelWidths: []int{1}}
-	// The stream length is unknown up front; seed a capacity that
-	// covers most sessions and let append double beyond it.
-	o.result.Stats.reserveLevels(64)
+	o.result.Stats.reserveLevels(levels)
 	flushRootTelemetry(verdict == monitor.Violated)
-	root := lattice.NewCut(clock.Ref{}, initial)
 	if verdict == monitor.Violated {
-		viol := Violation{Cut: root, State: initial, Level: 0}
-		if o.paths {
+		// A violated monitor state is not propagated: every extension is
+		// already reported at its shortest witness.
+		viol := Violation{Cut: lattice.NewCut(clock.Ref{}, initial), State: initial, Level: 0}
+		if opts.Counterexamples {
 			viol.Run = &lattice.Run{States: []logic.State{initial}}
 		}
 		o.result.Violations = append(o.result.Violations, viol)
-		o.progress.record(&o.result.Stats, 1, 1)
+		o.opts.Progress.record(&o.result.Stats, 1, 1)
 		return o, nil
 	}
-	o.progress.record(&o.result.Stats, 1, 0)
-	o.frontier[root.Clock()] = &pentry{counts: root.Clock(), state: initial, keys: map[uint64][]int{m.Key(): nil}}
+	o.opts.Progress.record(&o.result.Stats, 1, 0)
+	o.frontier = []*pentry{{state: initial, keys: map[uint64][]int{m.Key(): nil}}}
+	o.scratch = m
 	return o, nil
 }
 
@@ -113,7 +115,7 @@ func NewOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 // and ignored instead of failing the session.
 func (o *Online) Feed(m event.Message) error {
 	if err := o.buffer(m); err != nil {
-		if o.lossy {
+		if o.opts.Lossy {
 			o.result.Degrade().Rejected++
 			return nil
 		}
@@ -170,7 +172,7 @@ func (o *Online) buffer(m event.Message) error {
 // and Close truncates whatever remains missing.
 func (o *Online) FinishThread(i int) error {
 	if i < 0 || i >= o.threads {
-		if o.lossy {
+		if o.opts.Lossy {
 			o.result.Degrade().Rejected++
 			return nil
 		}
@@ -178,7 +180,7 @@ func (o *Online) FinishThread(i int) error {
 	}
 	o.announced[i] = true
 	if len(o.pending[i]) > 0 {
-		if !o.lossy {
+		if !o.opts.Lossy {
 			return fmt.Errorf("predict: thread %d finished with %d undeliverable out-of-order messages", i, len(o.pending[i]))
 		}
 		return nil // keep the thread open for late gap-fillers
@@ -197,12 +199,20 @@ func (o *Online) Level() int { return o.result.Stats.Levels - 1 }
 // the final result. In strict mode a delivery gap is an error; in
 // lossy mode (Options.Lossy or CloseLossy) each thread's stream is
 // truncated at its first gap, the loss is recorded in Result.Degraded,
-// and the partial result is returned without error.
-func (o *Online) Close() (Result, error) {
+// and the partial result is returned without error. Either way the
+// analysis is over: its telemetry and Progress are finished.
+func (o *Online) Close() (res Result, err error) {
 	if o.closed {
 		return o.result, nil
 	}
-	if o.lossy {
+	o.closed = true
+	defer func() {
+		finishTelemetry(&o.result)
+		o.opts.Progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
+		o.opts.Progress.finish()
+		res = o.result
+	}()
+	if o.opts.Lossy {
 		o.truncateGaps()
 	} else {
 		for i := 0; i < o.threads; i++ {
@@ -217,20 +227,16 @@ func (o *Online) Close() (Result, error) {
 	if err := o.advance(); err != nil {
 		return o.result, err
 	}
-	o.closed = true
 	total := 0
 	for i := range o.events {
 		total += len(o.events[i])
 	}
 	if o.applied < total && len(o.frontier) > 0 {
-		if !o.lossy {
+		if !o.opts.Lossy {
 			return o.result, fmt.Errorf("predict: analysis stalled with %d of %d events applied", o.applied, total)
 		}
 		o.result.Degrade().Stalled = true
 	}
-	finishTelemetry(&o.result)
-	o.progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
-	o.progress.finish()
 	return o.result, nil
 }
 
@@ -238,7 +244,7 @@ func (o *Online) Close() (Result, error) {
 // opened: the observer uses it when it discovers mid-session (a stalled
 // channel, a torn stream) that the session can no longer complete.
 func (o *Online) CloseLossy() (Result, error) {
-	o.lossy = true
+	o.opts.Lossy = true
 	return o.Close()
 }
 
@@ -287,33 +293,28 @@ func (o *Online) truncateGaps() {
 // determined: every (entry, thread) pair either has its candidate
 // event delivered or is known to have none.
 func (o *Online) ready() bool {
-	for _, ent := range o.frontier {
-		for i := 0; i < o.threads; i++ {
-			need := int(ent.counts.Get(i)) + 1
-			if need <= len(o.events[i]) {
-				continue // candidate available
-			}
-			if !o.final[i] {
-				return false // may still arrive
+	for i := 0; i < o.threads; i++ {
+		if o.final[i] {
+			continue
+		}
+		for _, ent := range o.frontier {
+			if int(ent.counts.Get(i)) >= len(o.events[i]) {
+				return false // the candidate may still arrive
 			}
 		}
 	}
 	return true
 }
 
-// advance expands complete levels until blocked on undelivered events.
-// With Options.Workers > 1 each level's frontier is split across the
-// worker pool of parallel.go; either way one full level is sealed per
-// iteration, so at most two adjacent levels are alive at any time.
+// advance is the level driver of both analyzers: it expands complete
+// levels until blocked on undelivered events, sealing each one into
+// the statistics, telemetry, level spans and Progress, enforcing the
+// budget, and reporting the level's violations. One full level is
+// sealed per iteration, so at most two adjacent levels are alive at
+// any time.
 func (o *Online) advance() error {
 	for len(o.frontier) > 0 && o.ready() {
-		var out levelOut
-		var err error
-		if o.workers > 1 {
-			out, err = o.expandLevelWorkers()
-		} else {
-			out, err = o.expandLevelSequential()
-		}
+		out, err := o.expandLevel()
 		if err != nil {
 			return err
 		}
@@ -321,7 +322,7 @@ func (o *Online) advance() error {
 			// Frontier entries have no available successors at all:
 			// analysis of delivered events is complete.
 			if o.allFinal() {
-				o.frontier = map[clock.Ref]*pentry{}
+				o.frontier = nil
 			}
 			return nil
 		}
@@ -333,118 +334,62 @@ func (o *Online) advance() error {
 		flushLevelTelemetry(len(out.next), out.pairWidth, out.newCuts, out.pairs, out.edges, out.violated)
 		publishStatus(&o.result, false)
 		o.ls.seal(o.result.Stats.Levels-1, len(out.next), out.newCuts)
-		if err := checkBudget(Options{MaxCuts: o.maxCuts, MaxWidth: o.maxWidth}, &o.result.Stats, len(out.next)); err != nil {
+		if err := checkBudget(o.opts, &o.result.Stats, len(out.next)); err != nil {
 			return err
 		}
-		o.frontier = make(map[clock.Ref]*pentry, len(out.next))
-		for _, e := range out.next {
-			o.frontier[e.counts] = e
+		o.frontier = out.next
+		stop := o.report(out.next)
+		o.opts.Progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
+		if stop {
+			o.frontier = nil
+			return nil
 		}
-		for _, vr := range out.viols {
-			cut := lattice.NewCut(vr.counts, vr.state)
-			viol := Violation{Cut: cut, State: vr.state, Level: cut.Level()}
-			if o.paths {
-				run := o.buildRun(vr.path)
-				viol.Run = &run
-			}
-			o.result.Violations = append(o.result.Violations, viol)
-		}
-		// The level's violations arrive canonically sorted and deduped
-		// per (cut, monitor state); across parents and levels the same
-		// cut can still recur, so keep reports unique.
-		o.dedupViolations()
-		o.progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
 	}
 	return nil
 }
 
+// report appends a sealed level's violating cuts to the result, in the
+// level's canonical cut order. A cut belongs to exactly one level, so
+// each violating cut is reported exactly once, whatever number of
+// monitor states or parents reached it. The return value reports that
+// Options.FirstOnly stops the analysis here.
+func (o *Online) report(level []*pentry) bool {
+	for _, e := range level {
+		if e.viol == nil {
+			continue
+		}
+		viol := Violation{Cut: lattice.NewCut(e.counts, e.state), State: e.state, Level: int(e.counts.Sum())}
+		if o.opts.Counterexamples {
+			run := o.buildRun(e.viol.path)
+			viol.Run = &run
+		}
+		o.result.Violations = append(o.result.Violations, viol)
+		if o.opts.FirstOnly {
+			return true
+		}
+	}
+	return false
+}
+
 // expandSuccessors enumerates the consistent single-event extensions
 // of one frontier entry from the delivered per-thread event prefixes.
-// It is the online succFn: safe for concurrent calls with distinct
-// entries because the event buffers are not mutated during a level.
-func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, counts clock.Ref, state logic.State)) {
+// For each it yields the advancing thread, the 1-based index of the
+// applied event within that thread, the successor's counts (interned
+// in o.table, so Refs compare by identity) and the applied message.
+// Pool workers call it concurrently with distinct entries: the event
+// buffers are not mutated during a level.
+func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, counts clock.Ref, m *event.Message)) {
 	for i := 0; i < o.threads; i++ {
 		need := int(ent.counts.Get(i)) + 1
 		if need > len(o.events[i]) {
 			continue
 		}
-		msg := o.events[i][need-1]
-		if !consistentExtension(msg.Clock, ent.counts, i) {
+		m := &o.events[i][need-1]
+		if !consistentExtension(m.Clock, ent.counts, i) {
 			continue
 		}
-		counts := o.table.Tick(ent.counts, i)
-		yield(i, need, counts, applyMessage(ent.state, msg))
+		yield(i, need, o.table.Tick(ent.counts, i), m)
 	}
-}
-
-// expandLevelWorkers seals the next level on the worker pool.
-func (o *Online) expandLevelWorkers() (levelOut, error) {
-	entries := make([]*pentry, 0, len(o.frontier))
-	for _, e := range o.frontier {
-		entries = append(entries, e)
-	}
-	return expandLevelParallel(o.prog, entries, o.expandSuccessors, o.workers, o.paths)
-}
-
-// expandLevelSequential seals the next level on the calling goroutine,
-// lock-free — the path existing callers (Workers == 0) get.
-func (o *Online) expandLevelSequential() (levelOut, error) {
-	var out levelOut
-	next := map[clock.Ref]*pentry{}
-	scratch := o.prog.NewMonitor()
-	for _, ent := range o.frontier {
-		var stepErr error
-		o.expandSuccessors(ent, func(thread, index int, counts clock.Ref, state logic.State) {
-			if stepErr != nil {
-				return
-			}
-			out.edges++
-			tgt := next[counts]
-			if tgt == nil {
-				tgt = &pentry{counts: counts, state: state, keys: map[uint64][]int{}}
-				next[counts] = tgt
-				out.newCuts++
-			}
-			for mkey, path := range ent.keys {
-				scratch.Restore(mkey)
-				verdict, err := scratch.Step(state)
-				if err != nil {
-					stepErr = err
-					return
-				}
-				out.pairs++
-				if verdict == monitor.Violated {
-					out.viols = append(out.viols, levelViolation{
-						counts: counts, state: state, mkey: mkey,
-						path: extendPath(o.paths, path, thread, index),
-					})
-					continue
-				}
-				// Same merge rule as the parallel workers: keep the
-				// lexicographically least representative path.
-				nk := scratch.Key()
-				if old, seen := tgt.keys[nk]; !seen {
-					tgt.keys[nk] = extendPath(o.paths, path, thread, index)
-				} else if o.paths {
-					if p := extendPath(o.paths, path, thread, index); lessPath(p, old) {
-						tgt.keys[nk] = p
-					}
-				}
-			}
-		})
-		if stepErr != nil {
-			return out, stepErr
-		}
-	}
-	for _, e := range next {
-		out.next = append(out.next, e)
-		out.pairWidth += len(e.keys)
-	}
-	sort.Slice(out.next, func(i, j int) bool { return clock.Compare(out.next[i].counts, out.next[j].counts) < 0 })
-	out.violated = len(out.viols)
-	sortLevelViolations(out.viols)
-	out.viols = dedupLevelViolations(out.viols)
-	return out, nil
 }
 
 func (o *Online) allFinal() bool {
@@ -455,28 +400,6 @@ func (o *Online) allFinal() bool {
 	}
 	return true
 }
-
-func (o *Online) dedupViolations() {
-	type cutState struct {
-		counts clock.Ref
-		state  string
-	}
-	seen := map[cutState]bool{}
-	out := o.result.Violations[:0]
-	for _, v := range o.result.Violations {
-		k := cutState{counts: v.Cut.Clock(), state: v.State.Key()}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, v)
-	}
-	o.result.Violations = out
-}
-
-// onlinePathID encodes an edge (thread, 1-based index) like the
-// offline analyzer's pathID.
-func onlinePathID(thread, index int) int { return thread<<32 | index }
 
 // buildRun reconstructs a counterexample Run from encoded path ids,
 // reading the messages out of the per-thread buffers.

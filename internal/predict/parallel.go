@@ -2,26 +2,28 @@ package predict
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"gompax/internal/clock"
+	"gompax/internal/event"
 	"gompax/internal/lattice"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
 )
 
-// This file implements the parallel level-by-level lattice explorer.
+// This file implements the level step both analyzers share.
+// Online.advance, the level driver that Analyze and Online both run,
+// calls expandLevel once per level.
 //
-// The sequential analyzers (Analyze in predict.go, Online in online.go)
-// expand one frontier cut at a time on one goroutine. The parallel
-// explorer splits each level's frontier across a worker pool and
-// expands successor cuts concurrently, deduplicating them in a sharded
-// cut table keyed by the cut's clock vector (lattice.Sharded), so
-// workers only contend when two paths genuinely merge into the same
-// cut — and even then only on that cut's own mutex.
+// With one worker the step runs inline on the calling goroutine over a
+// plain map. With more, each level's frontier is split across a worker
+// pool that deduplicates successor cuts in a sharded cut table keyed by
+// the cut's clock (lattice.Sharded), so workers only contend when two
+// paths genuinely merge into the same cut — and even then only on that
+// cut's own mutex.
 //
-// Invariants shared with the sequential path (see DESIGN.md §8):
+// Invariants (see DESIGN.md §8):
 //
 //   - Level barrier: level k+1 is sealed (every successor of every
 //     level-k cut interned, every monitor state stepped and merged)
@@ -29,56 +31,50 @@ import (
 //     barrier. At most two adjacent levels are ever alive — the
 //     paper's memory bound is preserved.
 //   - Set semantics: the set of cuts per level, the set of monitor
-//     states per cut, and the set of violating (cut, monitor state)
-//     pairs are pure functions of the computation and formula, so they
-//     are identical however parents are scheduled across workers.
-//   - Deterministic reports: violations discovered within a level are
-//     sorted canonically (cut key, then monitor key) at the barrier,
-//     making the parallel explorer's output identical run to run.
+//     states per cut, and the set of violating cuts are pure functions
+//     of the computation and formula, so they are identical however
+//     parents are scheduled across workers.
+//   - Deterministic reports: every representative path (one per
+//     monitor state of a cut, one per violating cut) is the
+//     canonically least candidate, and the sealed level is sorted by
+//     cut clock, so the output is identical for every worker count.
 
 // pentry is one frontier cut: its per-thread event counts, the global
 // state there, and the monitor states reachable at it, each with one
 // representative path (nil unless counterexamples are tracked). The
-// mutex serializes concurrent merges by parallel workers; the
-// sequential paths never lock it.
+// mutex serializes merges by pool workers; the inline step never
+// locks it.
 type pentry struct {
 	counts clock.Ref
 	state  logic.State
 	mu     sync.Mutex
 	keys   map[uint64][]int
+	// viol is non-nil at a cut where some monitor state steps to
+	// Violated: the cut is the violation's identity.
+	viol *violRep
 }
 
-// succFn enumerates the consistent single-event extensions of one
-// frontier entry. For each extension it yields the advancing thread,
-// the 1-based index of the applied event within that thread, and the
-// successor's interned counts and state. Implementations must be safe
-// for concurrent calls with distinct entries. All counts yielded within
-// one analysis must come from one interning table, so Refs compare by
-// identity everywhere below.
-type succFn func(ent *pentry, yield func(thread, index int, counts clock.Ref, state logic.State))
-
-// levelViolation is a violating (cut, monitor state) pair found while
-// expanding one level, before deduplication and reporting.
-type levelViolation struct {
-	counts clock.Ref
-	state  logic.State
-	mkey   uint64
-	path   []int
+// violRep is a violating cut's representative: the canonically least
+// (pre-step monitor key, path) that violated there, reported as its
+// counterexample. It lives outside pentry so the common, non-violating
+// cut stays in the smaller allocation size class.
+type violRep struct {
+	mkey uint64
+	path []int
 }
 
 // levelOut is one sealed level.
 type levelOut struct {
-	next      []*pentry // the new frontier, sorted by cut key
-	viols     []levelViolation
-	newCuts   int // distinct cuts interned this level
-	pairs     int // (cut, monitor state) pairs stepped
-	pairWidth int // pairs alive in the sealed level
-	edges     int // successor edges expanded (edges-newCuts = dedup hits)
-	violated  int // violating pairs found, before per-level dedup
+	next      []*pentry // the new frontier, sorted by cut clock
+	newCuts   int       // distinct cuts interned this level
+	pairs     int       // (cut, monitor state) pairs stepped
+	pairWidth int       // pairs alive in the sealed level
+	edges     int       // successor edges expanded (edges-newCuts = dedup hits)
+	violated  int       // violating pairs stepped (a cut may count several)
 }
 
 // normalizeWorkers maps the Options.Workers knob to a pool size:
-// 0 and 1 select the sequential path, n>1 selects n workers, and a
+// 0 and 1 select the inline step, n>1 selects n workers, and a
 // negative value selects GOMAXPROCS.
 func normalizeWorkers(w int) int {
 	if w < 0 {
@@ -87,17 +83,62 @@ func normalizeWorkers(w int) int {
 	return w
 }
 
-// expandLevelParallel seals the next level: every entry's successors
-// are interned, monitor states stepped and merged, and violations
-// collected. Workers claim parent entries round-robin; the call
-// returns only after every worker is done (the level barrier).
-func expandLevelParallel(prog *monitor.Program, entries []*pentry, succs succFn, workers int, trackPaths bool) (levelOut, error) {
-	if workers > len(entries) {
-		workers = len(entries)
+// expandLevel seals the level after the frontier: every entry's
+// successors are interned, monitor states stepped and merged, and
+// violating cuts marked. It returns only after every successor is done
+// (the level barrier), with the new frontier sorted by cut clock.
+func (o *Online) expandLevel() (levelOut, error) {
+	var out levelOut
+	var err error
+	if workers := min(o.opts.Workers, len(o.frontier)); workers <= 1 {
+		out, err = o.expandInline()
+	} else {
+		out, err = o.expandPool(workers)
 	}
-	if workers < 1 {
-		workers = 1
+	if err != nil {
+		return out, err
 	}
+	slices.SortFunc(out.next, func(a, b *pentry) int { return clock.Compare(a.counts, b.counts) })
+	for _, e := range out.next {
+		out.pairWidth += len(e.keys)
+	}
+	return out, nil
+}
+
+// expandInline is the level step on the calling goroutine.
+func (o *Online) expandInline() (levelOut, error) {
+	var out levelOut
+	var err error
+	next := make(map[clock.Ref]*pentry, len(o.frontier))
+	for _, ent := range o.frontier {
+		o.expandSuccessors(ent, func(thread, index int, counts clock.Ref, m *event.Message) {
+			if err != nil {
+				return
+			}
+			out.edges++
+			tgt := next[counts]
+			if tgt == nil {
+				tgt = newEntry(counts, applyMessage(ent.state, *m))
+				next[counts] = tgt
+				out.newCuts++
+			}
+			err = out.step(o.scratch, ent, tgt, pathID(thread, index), o.opts.Counterexamples, false)
+		})
+		if err != nil {
+			return out, err
+		}
+	}
+	out.next = make([]*pentry, 0, len(next))
+	for _, e := range next {
+		out.next = append(out.next, e)
+	}
+	return out, nil
+}
+
+// expandPool is the level step on a pool of workers claiming parent
+// entries round-robin.
+func (o *Online) expandPool(workers int) (levelOut, error) {
+	entries := o.frontier
 	table := lattice.NewSharded[clock.Ref, *pentry](workers * 8)
 	// Live queue depth: parents not yet claimed in the level being
 	// expanded. One atomic add per parent entry, not per edge.
@@ -107,60 +148,30 @@ func expandLevelParallel(prog *monitor.Program, entries []*pentry, succs succFn,
 	outs := make([]levelOut, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			scratch := prog.NewMonitor()
+			scratch := o.prog.NewMonitor()
 			out := &outs[w]
-			for idx := w; idx < len(entries); idx += workers {
-				if errs[w] != nil {
-					return
-				}
+			for idx := w; idx < len(entries) && errs[w] == nil; idx += workers {
 				mWorkerQueue.Add(-1)
 				ent := entries[idx]
-				succs(ent, func(thread, index int, counts clock.Ref, state logic.State) {
+				o.expandSuccessors(ent, func(thread, index int, counts clock.Ref, m *event.Message) {
+					if errs[w] != nil {
+						return
+					}
 					out.edges++
 					tgt, created := table.GetOrCreate(counts.Digest(), counts, func() *pentry {
-						return &pentry{counts: counts, state: state, keys: map[uint64][]int{}}
+						return newEntry(counts, applyMessage(ent.state, *m))
 					})
 					if created {
 						out.newCuts++
 					}
-					// The parent's key set was sealed at the previous
-					// barrier, so it can be read without ent.mu here.
-					for mkey, path := range ent.keys {
-						scratch.Restore(mkey)
-						verdict, err := scratch.Step(state)
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						out.pairs++
-						if verdict == monitor.Violated {
-							out.viols = append(out.viols, levelViolation{
-								counts: counts, state: state, mkey: mkey,
-								path: extendPath(trackPaths, path, thread, index),
-							})
-							continue // violated monitor states are not propagated
-						}
-						nk := scratch.Key()
-						tgt.mu.Lock()
-						if old, seen := tgt.keys[nk]; !seen {
-							tgt.keys[nk] = extendPath(trackPaths, path, thread, index)
-						} else if trackPaths {
-							// Keep the lexicographically least representative
-							// path so counterexamples are deterministic no
-							// matter which worker merged first.
-							if p := extendPath(trackPaths, path, thread, index); lessPath(p, old) {
-								tgt.keys[nk] = p
-							}
-						}
-						tgt.mu.Unlock()
-					}
+					errs[w] = out.step(scratch, ent, tgt, pathID(thread, index), o.opts.Counterexamples, true)
 				})
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -172,31 +183,83 @@ func expandLevelParallel(prog *monitor.Program, entries []*pentry, succs succFn,
 		out.newCuts += outs[w].newCuts
 		out.pairs += outs[w].pairs
 		out.edges += outs[w].edges
-		out.viols = append(out.viols, outs[w].viols...)
+		out.violated += outs[w].violated
 	}
-
-	// Seal the level: collect and order the new frontier, count the
-	// surviving pairs, and canonicalize the violation list.
+	out.next = make([]*pentry, 0, out.newCuts)
 	table.Range(func(_ clock.Ref, e *pentry) { out.next = append(out.next, e) })
-	sort.Slice(out.next, func(i, j int) bool { return clock.Compare(out.next[i].counts, out.next[j].counts) < 0 })
-	for _, e := range out.next {
-		out.pairWidth += len(e.keys)
-	}
-	out.violated = len(out.viols)
-	sortLevelViolations(out.viols)
-	out.viols = dedupLevelViolations(out.viols)
 	return out, nil
 }
 
+func newEntry(counts clock.Ref, state logic.State) *pentry {
+	return &pentry{counts: counts, state: state, keys: map[uint64][]int{}}
+}
+
+// step steps every monitor state of ent across one edge into tgt. A
+// surviving state is merged into tgt's key set; a violating one marks
+// tgt as a violating cut and is not propagated (every extension of a
+// violating run prefix is already reported at its shortest witness).
+// Both keep the canonically least representative, so the result does
+// not depend on the order parents are expanded in. Pool workers pass
+// locked: other workers may merge into tgt concurrently, so each merge
+// holds tgt.mu. The parent's key set was sealed at the previous
+// barrier and is read lock-free.
+func (out *levelOut) step(scratch *monitor.Monitor, ent, tgt *pentry, edge int, paths, locked bool) error {
+	for mkey, path := range ent.keys {
+		scratch.Restore(mkey)
+		// A pointer Env: stepping a State value would box a copy per
+		// pair.
+		verdict, err := scratch.Step(&tgt.state)
+		if err != nil {
+			return err
+		}
+		out.pairs++
+		violated := verdict == monitor.Violated
+		if violated {
+			out.violated++
+		}
+		p := extendPath(paths, path, edge)
+		if locked {
+			tgt.mu.Lock()
+		}
+		tgt.merge(violated, mkey, scratch.Key(), p, paths)
+		if locked {
+			tgt.mu.Unlock()
+		}
+	}
+	return nil
+}
+
+// merge folds one stepped pair into the cut: a violating pre-step
+// state mkey competes for the cut's violation representative, a
+// surviving post-step state nk for its key-set slot.
+func (e *pentry) merge(violated bool, mkey, nk uint64, p []int, paths bool) {
+	if violated {
+		switch v := e.viol; {
+		case v == nil:
+			e.viol = &violRep{mkey: mkey, path: p}
+		case mkey < v.mkey || (mkey == v.mkey && lessPath(p, v.path)):
+			v.mkey, v.path = mkey, p
+		}
+		return
+	}
+	if old, seen := e.keys[nk]; !seen || (paths && lessPath(p, old)) {
+		e.keys[nk] = p
+	}
+}
+
+// pathID encodes an edge (thread, 1-based index within the thread) for
+// compact path storage.
+func pathID(thread, index int) int { return thread<<32 | index }
+
 // extendPath appends one encoded edge to a representative path,
 // returning nil when paths are not tracked.
-func extendPath(track bool, path []int, thread, index int) []int {
+func extendPath(track bool, path []int, edge int) []int {
 	if !track {
 		return nil
 	}
 	p := make([]int, len(path)+1)
 	copy(p, path)
-	p[len(path)] = onlinePathID(thread, index)
+	p[len(path)] = edge
 	return p
 }
 
@@ -208,158 +271,4 @@ func lessPath(a, b []int) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// sortLevelViolations orders a level's violations canonically: by cut
-// clock (component-lexicographic), then monitor key, then
-// representative path.
-func sortLevelViolations(vs []levelViolation) {
-	sort.Slice(vs, func(i, j int) bool {
-		if c := clock.Compare(vs[i].counts, vs[j].counts); c != 0 {
-			return c < 0
-		}
-		if vs[i].mkey != vs[j].mkey {
-			return vs[i].mkey < vs[j].mkey
-		}
-		return lessPath(vs[i].path, vs[j].path)
-	})
-}
-
-// dedupLevelViolations collapses violations of the same (cut, monitor
-// state) pair reached from several parents, keeping the canonically
-// first representative. The input must be sorted.
-func dedupLevelViolations(vs []levelViolation) []levelViolation {
-	out := vs[:0]
-	for i, v := range vs {
-		if i > 0 && vs[i-1].mkey == v.mkey && clock.Equal(vs[i-1].counts, v.counts) {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// analyzeParallel is Analyze with a worker pool: identical exploration
-// semantics, with each level's frontier split across workers and cuts
-// deduplicated through the sharded table. It is selected by
-// Options.Workers (see Analyze).
-func analyzeParallel(prog *monitor.Program, comp *lattice.Computation, opts Options, workers int) (Result, error) {
-	mAnalyses.With("offline", "parallel").Inc()
-	res, root, rootKeys, done, err := analyzeRoot(prog, comp, opts)
-	defer func() { finishTelemetry(&res); opts.Progress.finish() }()
-	if done || err != nil {
-		return res, err
-	}
-	res.Stats.reserveLevels(totalLevels(comp))
-
-	frontier := []*pentry{{counts: root.Clock(), state: root.State(), keys: rootKeys}}
-	table := comp.Table()
-	succs := func(ent *pentry, yield func(thread, index int, counts clock.Ref, state logic.State)) {
-		for i := 0; i < comp.Threads(); i++ {
-			next := int(ent.counts.Get(i)) + 1
-			if next > comp.Count(i) {
-				continue
-			}
-			m := comp.Message(i, next)
-			if !consistentExtension(m.Clock, ent.counts, i) {
-				continue
-			}
-			counts := table.Tick(ent.counts, i)
-			yield(i, next, counts, applyMessage(ent.state, m))
-		}
-	}
-
-	reported := map[violKey]bool{}
-	ls := newLevelSpans(opts.Span)
-	for len(frontier) > 0 {
-		out, err := expandLevelParallel(prog, frontier, succs, workers, opts.Counterexamples)
-		if err != nil {
-			return res, err
-		}
-		res.Stats.Cuts += out.newCuts
-		res.Stats.Pairs += out.pairs
-		if len(out.next) > 0 {
-			res.Stats.addLevel(len(out.next), out.pairWidth)
-			flushLevelTelemetry(len(out.next), out.pairWidth, out.newCuts, out.pairs, out.edges, out.violated)
-			publishStatus(&res, false)
-			ls.seal(res.Stats.Levels-1, len(out.next), out.newCuts)
-		}
-		if err := checkBudget(opts, &res.Stats, len(out.next)); err != nil {
-			return res, err
-		}
-		stop := reportViolations(&res, out.viols, reported, opts,
-			func(ids []int) lattice.Run { return buildRun(comp, ids) })
-		opts.Progress.record(&res.Stats, len(out.next), len(res.Violations))
-		if stop {
-			return res, nil
-		}
-		frontier = out.next
-	}
-	return res, nil
-}
-
-// violKey identifies a reported (cut, monitor state) pair. Because
-// every counts Ref of one analysis is interned in one table, the Ref
-// itself is a comparable identity — no string formatting needed.
-type violKey struct {
-	counts clock.Ref
-	mkey   uint64
-}
-
-// reportViolations converts a sealed level's canonical violations into
-// Result entries, deduplicating against previously reported (cut,
-// monitor state) pairs across levels. mkRun reconstructs a
-// counterexample run from an encoded path; it is only called when
-// Options.Counterexamples is set. The return value reports that
-// Options.FirstOnly stops the analysis here.
-func reportViolations(res *Result, viols []levelViolation, reported map[violKey]bool, opts Options, mkRun func([]int) lattice.Run) bool {
-	for _, vr := range viols {
-		vk := violKey{counts: vr.counts, mkey: vr.mkey}
-		if reported[vk] {
-			continue
-		}
-		reported[vk] = true
-		viol := Violation{
-			Cut:   lattice.NewCut(vr.counts, vr.state),
-			State: vr.state,
-			Level: int(vr.counts.Sum()),
-		}
-		if opts.Counterexamples {
-			run := mkRun(vr.path)
-			viol.Run = &run
-		}
-		res.Violations = append(res.Violations, viol)
-		if opts.FirstOnly {
-			return true
-		}
-	}
-	return false
-}
-
-// analyzeRoot steps the root monitor on the initial state and prepares
-// the shared level-0 statistics. done reports that the analysis is
-// already complete (the initial state violates the property).
-func analyzeRoot(prog *monitor.Program, comp *lattice.Computation, opts Options) (Result, lattice.Cut, map[uint64][]int, bool, error) {
-	var res Result
-	root := comp.Root()
-	m0 := prog.NewMonitor()
-	v0, err := m0.Step(root.State())
-	if err != nil {
-		return res, root, nil, false, err
-	}
-	res.Stats = Stats{Cuts: 1, Pairs: 1, Levels: 1, MaxWidth: 1, MaxPairWidth: 1, LevelWidths: []int{1}}
-	flushRootTelemetry(v0 == monitor.Violated)
-	if v0 == monitor.Violated {
-		viol := Violation{Cut: root, State: root.State(), Level: 0}
-		if opts.Counterexamples {
-			viol.Run = &lattice.Run{States: []logic.State{root.State()}}
-		}
-		res.Violations = append(res.Violations, viol)
-		opts.Progress.record(&res.Stats, 1, 1)
-		// A violated monitor state is not propagated: every extension is
-		// already reported at its shortest witness.
-		return res, root, nil, true, nil
-	}
-	opts.Progress.record(&res.Stats, 1, 0)
-	return res, root, map[uint64][]int{m0.Key(): pathIfTracking(opts, nil)}, false, nil
 }

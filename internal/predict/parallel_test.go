@@ -195,28 +195,55 @@ func TestParallelOnlineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelFirstOnly: FirstOnly with workers reports the same
-// single canonical violation as the sequential explorer.
+// TestParallelFirstOnly: FirstOnly reports the same single canonical
+// violation, and stops at the same level, in every explorer mode —
+// offline and online, inline and on a worker pool.
 func TestParallelFirstOnly(t *testing.T) {
 	t.Parallel()
-	comp := landingComputation(t)
-	seq, err := Analyze(landingProp, comp, Options{FirstOnly: true, Counterexamples: true})
-	if err != nil {
-		t.Fatal(err)
+	pulses, pulseInit := pulseMessages(2, 3)
+	cases := []struct {
+		name    string
+		prog    *monitor.Program
+		initial logic.State
+		msgs    []event.Message // in delivery order for the online runs
+	}{
+		{"landing", landingProp, logic.StateFromMap(map[string]int64{"landing": 0, "approved": 0, "radio": 1}), []event.Message{
+			msg(1, "radio", 0, 0, 1),
+			msg(0, "landing", 1, 2, 0),
+			msg(0, "approved", 1, 1, 0),
+		}},
+		// Nine violating cuts over four levels: FirstOnly must stop at
+		// level 2 with the first of them.
+		{"pulse2x3", monitor.MustCompile(logic.MustParseFormula(`!(v0 = 1 /\ v1 = 1)`)), pulseInit, pulses},
 	}
-	if len(seq.Violations) != 1 {
-		t.Fatalf("sequential FirstOnly reported %d violations", len(seq.Violations))
-	}
-	for _, w := range workerCounts {
-		par, err := Analyze(landingProp, comp, Options{FirstOnly: true, Counterexamples: true, Workers: w})
+	for _, tc := range cases {
+		comp, err := lattice.NewComputation(tc.initial, 2, tc.msgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par.Violations) != 1 {
-			t.Fatalf("workers=%d FirstOnly reported %d violations", w, len(par.Violations))
+		seq, err := Analyze(tc.prog, comp, Options{FirstOnly: true, Counterexamples: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := renderResult(par), renderResult(seq); got != want {
-			t.Errorf("workers=%d FirstOnly differs:\n%s\nvs\n%s", w, got, want)
+		if len(seq.Violations) != 1 {
+			t.Fatalf("%s: sequential FirstOnly reported %d violations", tc.name, len(seq.Violations))
+		}
+		want := renderResult(seq)
+		for _, w := range append([]int{0}, workerCounts...) {
+			par, err := Analyze(tc.prog, comp, Options{FirstOnly: true, Counterexamples: true, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderResult(par); got != want {
+				t.Errorf("%s: offline workers=%d FirstOnly differs:\n%s\nvs\n%s", tc.name, w, got, want)
+			}
+			o, err := NewOnline(tc.prog, tc.initial, 2, Options{FirstOnly: true, Counterexamples: true, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderResult(feedAll(t, o, tc.msgs, 2)); got != want {
+				t.Errorf("%s: online workers=%d FirstOnly differs:\n%s\nvs\n%s", tc.name, w, got, want)
+			}
 		}
 	}
 }

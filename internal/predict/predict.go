@@ -10,22 +10,31 @@
 // subformula), this set is small and deduplicates aggressively, and
 // only two consecutive lattice levels need to be alive at any moment.
 //
-// Two analyzers are provided:
+// The memory-bounded level-by-level analysis described above is the
+// production path, with two entry points over one level driver and one
+// level step (parallel.go):
 //
-//   - Analyze: the memory-bounded level-by-level analyzer described
-//     above — the production path.
-//   - EnumerateRuns: materializes the lattice and checks every run
-//     separately — exponential, but exact run-level statistics for
-//     reporting and for cross-checking Analyze (any violation found by
-//     one must be found by the other).
+//   - Online: the paper's incremental observer — messages arrive in
+//     any order, and each level is analyzed as soon as the events it
+//     needs are delivered or ruled out.
+//   - Analyze: the same analysis of a fully reconstructed computation,
+//     run as an online session whose threads have all finished.
+//
+// Either one steps the level inline or on a worker pool
+// (Options.Workers); all four modes produce identical results. A
+// violation is identified by its cut: each reachable cut at which some
+// run violates the formula is reported once.
+//
+// EnumerateRuns materializes the lattice and checks every run
+// separately — exponential, but exact run-level statistics for
+// reporting and for cross-checking Analyze (any violation found by one
+// must be found by the other).
 package predict
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/lattice"
 	"gompax/internal/logic"
@@ -51,15 +60,16 @@ type Options struct {
 	// this many distinct cuts (0 = unlimited). Because only two
 	// adjacent levels are ever alive, MaxWidth is a direct cap on the
 	// analyzer's working set — the per-session memory budget a serving
-	// layer imposes on untrusted clients. All three explorers (offline
-	// sequential, offline parallel, online) honor it.
+	// layer imposes on untrusted clients. Both analyzers honor it.
 	MaxWidth int
 	// Counterexamples, when true, tracks one representative path per
 	// (cut, monitor state) pair so violations carry a full run. This
 	// costs extra memory (paths are O(depth)); with it off the analyzer
 	// stores only the two active levels, as in the paper.
 	Counterexamples bool
-	// FirstOnly stops at the first violation.
+	// FirstOnly stops at the first violation: the canonically least
+	// violating cut of the shallowest level that has one. Both
+	// analyzers honor it.
 	FirstOnly bool
 	// Lossy makes the online analyzer tolerate lossy sessions instead
 	// of failing: messages that cannot be accepted (duplicates, or
@@ -68,14 +78,13 @@ type Options struct {
 	// reporting what was lost in Result.Degraded, rather than
 	// returning an error. Only Online honors this flag.
 	Lossy bool
-	// Workers sizes the worker pool of the parallel level-by-level
-	// explorer: 0 (the default) and 1 keep the single-goroutine
-	// sequential exploration, so existing callers are untouched; n > 1
+	// Workers sizes the worker pool of the level step: 0 (the default)
+	// and 1 step each level inline on the calling goroutine; n > 1
 	// splits each level's frontier across n workers; a negative value
 	// selects GOMAXPROCS. Both Analyze and Online honor it. The
-	// explored cut sets, statistics and violation sets are identical to
-	// the sequential explorer's (violations are reported in canonical
-	// per-level order: cut key, then monitor key).
+	// explored cut sets, statistics and violations are identical for
+	// every value (violations are reported in canonical per-level cut
+	// order).
 	Workers int
 	// Progress, when non-nil, receives an atomic per-level snapshot of
 	// the running analysis (level, frontier width, totals, last-advance
@@ -84,7 +93,7 @@ type Options struct {
 	Progress *Progress
 	// Span, when non-nil, parents one tracing child span per sealed
 	// lattice level, linking the exploration into an end-to-end trace.
-	// All three explorers honor it at their shared level barrier.
+	// Both analyzers honor it at the shared level barrier.
 	Span *tracing.Span
 }
 
@@ -130,10 +139,10 @@ type Stats struct {
 
 // reserveLevels preallocates LevelWidths for an analysis expected to
 // traverse at most n levels. A computation with E relevant events has
-// at most E+1 levels, so the offline analyzers size the slice exactly
-// and deep lattices append without ever reallocating; the online
-// analyzer, which cannot know E up front, seeds a generous initial
-// capacity and lets append double from there.
+// at most E+1 levels, so Analyze sizes the slice exactly and deep
+// lattices append without ever reallocating; Online, which cannot know
+// E up front, seeds a generous initial capacity and lets append double
+// from there.
 func (s *Stats) reserveLevels(n int) {
 	if n <= cap(s.LevelWidths) {
 		return
@@ -156,9 +165,9 @@ func (s *Stats) addLevel(width, pairWidth int) {
 }
 
 // checkBudget enforces the per-analysis budget after a level seal:
-// width is the number of distinct cuts on the level just sealed. Every
-// explorer calls it at the same point (its level barrier), so a budget
-// kill happens at the same level whichever explorer ran.
+// width is the number of distinct cuts on the level just sealed. The
+// level driver calls it at the level barrier, so a budget kill happens
+// at the same level in every explorer mode.
 func checkBudget(opts Options, stats *Stats, width int) error {
 	if opts.MaxCuts > 0 && stats.Cuts > opts.MaxCuts {
 		return fmt.Errorf("predict: %w: explored %d cuts (MaxCuts=%d)", ErrBudget, stats.Cuts, opts.MaxCuts)
@@ -301,119 +310,24 @@ func (d *Degraded) String() string {
 	return s
 }
 
-type entry struct {
-	cut  lattice.Cut
-	keys map[uint64][]int // monitor key -> representative path (msg ids), nil when not tracking
-}
-
 // Analyze runs the predictive safety analysis of the formula compiled
-// in prog over the computation comp. With Options.Workers > 1 each
-// level's frontier is expanded by a worker pool (see parallel.go); the
-// explored cuts, statistics and violation set are the same either way.
+// in prog over the computation comp. It is the online analysis of a
+// fully delivered session: the computation's per-thread messages are
+// loaded up front, every thread is final, and the level driver runs to
+// completion (with Options.Workers > 1 on a worker pool; the explored
+// cuts, statistics and violations are the same either way).
 func Analyze(prog *monitor.Program, comp *lattice.Computation, opts Options) (Result, error) {
-	if w := normalizeWorkers(opts.Workers); w > 1 {
-		return analyzeParallel(prog, comp, opts, w)
+	o, err := newOnline(prog, comp.Initial(), comp.Threads(), opts, "offline", comp.Table(), totalLevels(comp))
+	if err != nil {
+		return Result{}, err
 	}
-	mAnalyses.With("offline", "sequential").Inc()
-	res, root, rootKeys, done, err := analyzeRoot(prog, comp, opts)
-	defer func() { finishTelemetry(&res); opts.Progress.finish() }()
-	if done || err != nil {
-		// A violated monitor state is not propagated: the property is a
-		// safety property, every extension of a violating run prefix is
-		// already reported at its shortest witness.
-		return res, err
+	for i := range o.events {
+		o.events[i] = make([]event.Message, comp.Count(i))
+		for k := range o.events[i] {
+			o.events[i][k] = comp.Message(i, k+1)
+		}
 	}
-	res.Stats.reserveLevels(totalLevels(comp))
-
-	frontier := map[clock.Ref]*entry{
-		root.Clock(): {cut: root, keys: rootKeys},
-	}
-	scratch := prog.NewMonitor()
-	ls := newLevelSpans(opts.Span)
-	// The same violating (cut, monitor state) pair is typically reachable
-	// from several parents; report it once.
-	reported := map[violKey]bool{}
-
-	for len(frontier) > 0 {
-		next := map[clock.Ref]*entry{}
-		levelEdges, cutsBefore, pairsBefore := 0, res.Stats.Cuts, res.Stats.Pairs
-		// Deterministic iteration keeps the explored order stable run to
-		// run; the violations themselves are canonicalized per level
-		// below, exactly like the parallel explorer's barrier.
-		ents := make([]*entry, 0, len(frontier))
-		for _, e := range frontier {
-			ents = append(ents, e)
-		}
-		sort.Slice(ents, func(i, j int) bool {
-			return clock.Compare(ents[i].cut.Clock(), ents[j].cut.Clock()) < 0
-		})
-
-		var levelViols []levelViolation
-		for _, ent := range ents {
-			for _, succ := range comp.Successors(ent.cut) {
-				levelEdges++
-				sk := succ.Cut.Clock()
-				tgt := next[sk]
-				if tgt == nil {
-					tgt = &entry{cut: succ.Cut, keys: map[uint64][]int{}}
-					next[sk] = tgt
-					res.Stats.Cuts++
-				}
-				for mkey, path := range ent.keys {
-					scratch.Restore(mkey)
-					verdict, err := scratch.Step(succ.Cut.State())
-					if err != nil {
-						return res, err
-					}
-					res.Stats.Pairs++
-					if verdict == monitor.Violated {
-						levelViols = append(levelViols, levelViolation{
-							counts: succ.Cut.Clock(), state: succ.Cut.State(), mkey: mkey,
-							path: appendPath(opts, path, succ),
-						})
-						continue // do not propagate violated monitor states
-					}
-					// Keep the lexicographically least representative path
-					// (the rule the parallel merge applies), so
-					// counterexamples are identical across explorers.
-					nk := scratch.Key()
-					if old, seen := tgt.keys[nk]; !seen {
-						tgt.keys[nk] = appendPath(opts, path, succ)
-					} else if opts.Counterexamples {
-						if p := appendPath(opts, path, succ); lessPath(p, old) {
-							tgt.keys[nk] = p
-						}
-					}
-				}
-			}
-		}
-		// Seal the level's statistics before reporting, so a FirstOnly
-		// early return carries the level the violation lives on (the
-		// parallel explorer does the same at its barrier).
-		if len(next) > 0 {
-			pairs := 0
-			for _, e := range next {
-				pairs += len(e.keys)
-			}
-			res.Stats.addLevel(len(next), pairs)
-			flushLevelTelemetry(len(next), pairs,
-				res.Stats.Cuts-cutsBefore, res.Stats.Pairs-pairsBefore, levelEdges, len(levelViols))
-			publishStatus(&res, false)
-			ls.seal(res.Stats.Levels-1, len(next), res.Stats.Cuts-cutsBefore)
-		}
-		if err := checkBudget(opts, &res.Stats, len(next)); err != nil {
-			return res, err
-		}
-		sortLevelViolations(levelViols)
-		stop := reportViolations(&res, dedupLevelViolations(levelViols), reported, opts,
-			func(ids []int) lattice.Run { return buildRun(comp, ids) })
-		opts.Progress.record(&res.Stats, len(next), len(res.Violations))
-		if stop {
-			return res, nil
-		}
-		frontier = next
-	}
-	return res, nil
+	return o.Close()
 }
 
 // applyMessage folds one message's state update into a cut state.
@@ -425,43 +339,6 @@ func applyMessage(s logic.State, m event.Message) logic.State {
 		return s
 	}
 	return s.With(m.Event.Var, m.Event.Value)
-}
-
-// pathID encodes a successor edge as thread*2^32 | index for compact
-// path storage.
-func pathID(s lattice.Succ) int {
-	return s.Thread<<32 | int(s.Msg.Clock.Get(s.Thread))
-}
-
-func pathIfTracking(opts Options, path []int) []int {
-	if !opts.Counterexamples {
-		return nil
-	}
-	return path
-}
-
-func appendPath(opts Options, path []int, succ lattice.Succ) []int {
-	if !opts.Counterexamples {
-		return nil
-	}
-	out := make([]int, len(path)+1)
-	copy(out, path)
-	out[len(path)] = pathID(succ)
-	return out
-}
-
-// buildRun reconstructs a Run from encoded path ids.
-func buildRun(comp *lattice.Computation, ids []int) lattice.Run {
-	run := lattice.Run{States: []logic.State{comp.Initial()}}
-	cut := comp.Root()
-	for _, id := range ids {
-		thread := id >> 32
-		succ := comp.Advance(cut, thread)
-		run.Msgs = append(run.Msgs, succ.Msg)
-		run.States = append(run.States, succ.Cut.State())
-		cut = succ.Cut
-	}
-	return run
 }
 
 // RunReport is the outcome of the exhaustive per-run analysis.

@@ -30,8 +30,8 @@ type Progress struct {
 	done        atomic.Bool
 }
 
-// record seals one level into the snapshot. Called by every explorer
-// at its level barrier (and once for the root level).
+// record seals one level into the snapshot. Called by the level
+// driver at each level barrier (and once for the root level).
 func (p *Progress) record(stats *Stats, frontier, violations int) {
 	if p == nil {
 		return
@@ -95,8 +95,8 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 // levelSpans emits one tracing child span per sealed lattice level
 // under the analysis span of Options.Span, so a trace shows where the
 // exploration's time went level by level. With a nil parent every
-// method is free (one pointer compare, no clock reads) — the explorers
-// call it unconditionally.
+// method is free (one pointer compare, no clock reads) — the level
+// driver calls it unconditionally.
 type levelSpans struct {
 	parent *tracing.Span
 	last   time.Time

@@ -166,7 +166,10 @@ func (a *admitter) next() *pending {
 			var best *tenantState
 			for _, ts := range eligible {
 				ts.current += ts.weight
-				if best == nil || ts.current > best.current {
+				// Ties go to the heavier tenant, so the pick order does
+				// not depend on the order tenants were registered in.
+				if best == nil || ts.current > best.current ||
+					(ts.current == best.current && ts.weight > best.weight) {
 					best = ts
 				}
 			}
