@@ -20,18 +20,22 @@ race:
 # The chaos regressions run on short deterministic seed lists, so they
 # are part of the normal test suite; this target runs just them.
 chaos:
-	$(GO) test -run 'Chaos|Corrupt|Fault|Resync|IdleTimeout' ./internal/wire/ ./internal/observer/ ./internal/race/ -v
+	$(GO) test -run 'Chaos|Corrupt|Fault|Resync|IdleTimeout' ./internal/wire/ ./internal/observer/ ./internal/race/ ./internal/serve/ -v
 
-# Short bounded fuzz pass over the wire decoders and fault pipeline.
+# Short bounded fuzz pass over the wire decoders, the fault pipeline
+# and the observer session loop.
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzReceiver -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzSessionFaults -fuzztime 10s
+	$(GO) test ./internal/observer/ -fuzz FuzzObserverSession -fuzztime 10s
 
-# Quick fuzz smoke for verify: a few seconds over the frame decoder,
-# enough to catch a decoder regression without stalling the gate.
+# Quick fuzz smoke for verify: a few seconds over the frame decoder and
+# the session loop, enough to catch a decoder or observer regression
+# without stalling the gate.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 5s
+	$(GO) test ./internal/observer/ -run '^$$' -fuzz FuzzObserverSession -fuzztime 5s
 
 # Lattice exploration benchmarks: the inline and worker-pool level step
 # on a never-violated grid, and offline vs online on a violating

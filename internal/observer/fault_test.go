@@ -2,8 +2,11 @@ package observer_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -116,7 +119,10 @@ func TestTruncatedSessionReturnsPartial(t *testing.T) {
 
 // TestIdleTimeoutStalledChannel is the deadline acceptance check: with
 // one channel wedged forever, AnalyzeSession returns within the
-// configured deadline, finishes lossily, and reports the stall.
+// configured deadline, finishes lossily, and reports the stall — both
+// when a second, healthy channel carries the session (the pumped merge)
+// and when the wedged channel is the session's only one (the inline
+// read).
 func TestIdleTimeoutStalledChannel(t *testing.T) {
 	raw := landingSessionWithLanding(t)
 	s, err := observer.Drain(wire.NewReceiver(bytes.NewReader(raw)))
@@ -159,13 +165,61 @@ func TestIdleTimeoutStalledChannel(t *testing.T) {
 	if !res.Violated() {
 		t.Fatalf("verdict lost to the stalled channel")
 	}
+
+	// A lone channel on a transport with a read deadline is read on the
+	// caller's goroutine, the idle timeout and the context acting
+	// through the deadline: blocked mid-stream, the session runs no
+	// goroutine besides the caller's, and the deadline still ends it.
+	var prefix bytes.Buffer
+	snd := wire.NewSender(&prefix)
+	snd.SendHello(s.Hello)
+	for _, m := range s.Messages[:2] {
+		snd.SendMessage(m)
+	}
+	if err := snd.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	baseline := runtime.NumGoroutine()
+	done := make(chan struct{})
+	start = time.Now()
+	go func() {
+		defer close(done)
+		res, err = observer.AnalyzeSession([]*wire.Receiver{wire.NewReceiver(server)}, prog, observer.SessionOptions{
+			IdleTimeout: 200 * time.Millisecond,
+			Ctx:         ctx,
+		})
+	}()
+	// The write returns once the session has read the whole prefix;
+	// the session then waits for a frame that never comes.
+	if _, err := client.Write(prefix.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > baseline+1 {
+		t.Errorf("lone channel blocked mid-stream: %d goroutines, want at most baseline %d + the caller's", n, baseline)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle timeout did not fire on the lone channel within 5s")
+	}
+	if err != nil {
+		t.Fatalf("stalled lone channel errored instead of degrading: %v", err)
+	}
+	if res.Degraded == nil || res.Degraded.StalledChannels != 1 {
+		t.Fatalf("lone channel stall not reported after %v: %+v", time.Since(start), res.Degraded)
+	}
 }
 
-// TestAnalyzeChannelsStillBlocksWithoutTimeout guards the default:
-// AnalyzeChannels without an IdleTimeout must finish normally on
-// healthy channels (covered elsewhere) and must not grow surprise
-// deadlines — a zero timeout means wait forever, so a short session
-// with explicit Byes completes and reports no degradation.
+// TestAnalyzeChannelsStillBlocksWithoutTimeout guards the default: a
+// multi-channel AnalyzeSession without an IdleTimeout must finish
+// normally on healthy channels (covered elsewhere) and must not grow
+// surprise deadlines — a zero timeout means wait forever, so a short
+// session with explicit Byes completes and reports no degradation.
 func TestAnalyzeChannelsStillBlocksWithoutTimeout(t *testing.T) {
 	mk := func() *wire.Receiver {
 		var buf bytes.Buffer
@@ -176,7 +230,7 @@ func TestAnalyzeChannelsStillBlocksWithoutTimeout(t *testing.T) {
 		return wire.NewReceiver(&buf)
 	}
 	prog := monitor.MustCompile(logic.MustParseFormula("x >= 0"))
-	res, err := observer.AnalyzeChannels([]*wire.Receiver{mk(), mk()}, prog, predict.Options{})
+	res, err := observer.AnalyzeSession([]*wire.Receiver{mk(), mk()}, prog, observer.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

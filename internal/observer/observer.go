@@ -2,8 +2,13 @@
 // paper (Fig. 4): it consumes <e, i, V> messages from a wire session —
 // in whatever order the transport delivers them — reconstructs the
 // multithreaded computation, and drives the predictive analysis,
-// either offline (drain, then analyze) or online (analyze level by
+// either offline (Drain, then analyze) or online (analyze level by
 // level as messages arrive, per §4).
+//
+// Every online entry point runs one session loop, AnalyzeSession: one
+// frame step and one finish step. A lone channel is read on the
+// caller's goroutine; goroutines start only to merge several channels
+// or to time out a transport without a read deadline.
 package observer
 
 import (
@@ -14,7 +19,6 @@ import (
 	"gompax/internal/event"
 	"gompax/internal/lattice"
 	"gompax/internal/monitor"
-	"gompax/internal/msg"
 	"gompax/internal/predict"
 	"gompax/internal/telemetry"
 	"gompax/internal/wire"
@@ -83,118 +87,11 @@ func (s *Session) Computation() (*lattice.Computation, error) {
 	return lattice.NewComputation(s.Hello.Initial, s.Hello.Threads, s.Messages)
 }
 
-// attachWireStats records a channel's wire-level statistics in the
-// result's degradation report when the channel saw any fault.
-func attachWireStats(res *predict.Result, rs ...*wire.Receiver) {
-	for _, r := range rs {
-		if s := r.Stats(); s.Lossy() {
-			res.Degrade().Wire = append(res.Degrade().Wire, s)
-		}
-	}
-}
-
-// attachMessaging runs the message-passing analyses over the session's
-// channel events (if any) and attaches the report to the result. It
-// must run after the degradation report is final: the whole-stream
-// analyses (lost-message, partial-deadlock) only fire on complete
-// sessions (complete=true and no recorded degradation), so loss can
-// weaken a channel verdict but never flip it. Sessions without channel
-// events get no report at all — legacy results are byte-for-byte what
-// they were before channels existed.
-func attachMessaging(res *predict.Result, chanMsgs []event.Message, complete bool) {
-	if len(chanMsgs) == 0 {
-		return
-	}
-	res.Messaging = msg.Analyze(chanMsgs, msg.Options{
-		Complete:   complete && !res.Degraded.Any(),
-		Predictive: true,
-	})
-}
-
-// Analyze consumes a session online: every message is fed to the
-// incremental analyzer the moment it arrives, so violations on early
-// lattice levels are detected while the program is still running.
-//
-// Fault tolerance: when the stream ends without a Bye, the result's
-// Degraded report notes it. With opts.Lossy (typically paired with a
-// resync Receiver) delivery gaps degrade the result instead of failing
-// it. On an unrecoverable error — a wire error from a strict receiver,
-// or a strict-mode session inconsistency — the partial result computed
-// so far is returned alongside the error, never discarded.
+// Analyze consumes a single-channel session online: every message is
+// fed to the incremental analyzer the moment it arrives, so violations
+// on early lattice levels are detected while the program is still
+// running. It is AnalyzeSession over one receiver with no idle timeout
+// and no context.
 func Analyze(r *wire.Receiver, prog *monitor.Program, opts predict.Options) (predict.Result, error) {
-	mSessions.With("online").Inc()
-	if opts.Span != nil {
-		// Tree tracing: nest the whole ingest under the caller's span
-		// and parent the per-level analysis spans to it. The tracing
-		// span feeds the same span metrics the plain one would.
-		tsp := opts.Span.Child("observer.analyze")
-		defer tsp.End()
-		opts.Span = tsp
-	} else {
-		sp := telemetry.StartSpan("observer.analyze")
-		defer sp.End()
-	}
-	var online *predict.Online
-	var chanMsgs []event.Message
-	// partial salvages the work done so far when the session dies.
-	partial := func(err error) (predict.Result, error) {
-		mSessionErrors.Inc()
-		olog.Warn("session ended with error; salvaging partial result", "err", err)
-		if online == nil {
-			return predict.Result{}, err
-		}
-		res := online.Partial()
-		attachWireStats(&res, r)
-		attachMessaging(&res, chanMsgs, false)
-		return res, err
-	}
-	for {
-		f, err := r.Next()
-		if errors.Is(err, wire.ErrClosed) || errors.Is(err, io.EOF) {
-			if online == nil {
-				return predict.Result{}, fmt.Errorf("observer: session ended before hello")
-			}
-			res, cerr := online.Close()
-			if !r.SawBye() {
-				res.Degrade().MissingBye = true
-			}
-			attachWireStats(&res, r)
-			attachMessaging(&res, chanMsgs, true)
-			return res, cerr
-		}
-		if err != nil {
-			return partial(err)
-		}
-		switch f.Kind {
-		case wire.FrameHello:
-			if online != nil {
-				if opts.Lossy { // duplicated hello frame: ignore
-					continue
-				}
-				return partial(fmt.Errorf("observer: duplicate hello"))
-			}
-			online, err = predict.NewOnline(prog, f.Hello.Initial, f.Hello.Threads, opts)
-			if err != nil {
-				return predict.Result{}, err
-			}
-		case wire.FrameMessage:
-			if online == nil {
-				return predict.Result{}, fmt.Errorf("observer: message before hello")
-			}
-			mMessagesFed.Inc()
-			if f.Msg.Event.Kind.IsChannel() {
-				chanMsgs = append(chanMsgs, f.Msg)
-			}
-			if err := online.Feed(f.Msg); err != nil {
-				return partial(err)
-			}
-		case wire.FrameThreadDone:
-			if online == nil {
-				return predict.Result{}, fmt.Errorf("observer: thread-done before hello")
-			}
-			if err := online.FinishThread(f.Thread); err != nil {
-				return partial(err)
-			}
-		}
-	}
+	return AnalyzeSession([]*wire.Receiver{r}, prog, SessionOptions{Predict: opts})
 }

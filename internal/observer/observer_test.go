@@ -17,12 +17,13 @@ import (
 	"gompax/internal/predict"
 	"gompax/internal/progs"
 	"gompax/internal/sched"
+	"gompax/internal/telemetry"
 	"gompax/internal/wire"
 )
 
 // streamSession runs the landing program into a buffer and returns the
 // raw session bytes for a seed that takes the landing path.
-func streamSession(t *testing.T, seed int64) []byte {
+func streamSession(t testing.TB, seed int64) []byte {
 	t.Helper()
 	code := mtl.MustCompile(progs.Landing)
 	f := logic.MustParseFormula(progs.LandingProperty)
@@ -328,7 +329,7 @@ func TestMultiChannelOverTCP(t *testing.T) {
 			conns = append(conns, conn)
 			rs = append(rs, wire.NewReceiver(conn))
 		}
-		res, err := observer.AnalyzeChannels(rs, prog, predict.Options{})
+		res, err := observer.AnalyzeSession(rs, prog, observer.SessionOptions{})
 		for _, c := range conns {
 			c.Close()
 		}
@@ -362,7 +363,7 @@ func TestMultiChannelOverTCP(t *testing.T) {
 // TestAnalyzeChannelsErrors covers the channel-merge error paths.
 func TestAnalyzeChannelsErrors(t *testing.T) {
 	prog := monitor.MustCompile(logic.MustParseFormula("x >= 0"))
-	if _, err := observer.AnalyzeChannels(nil, prog, predict.Options{}); err == nil {
+	if _, err := observer.AnalyzeSession(nil, prog, observer.SessionOptions{}); err == nil {
 		t.Errorf("empty channel list accepted")
 	}
 	// Disagreeing hellos.
@@ -373,13 +374,59 @@ func TestAnalyzeChannelsErrors(t *testing.T) {
 		s.SendBye()
 		return wire.NewReceiver(&buf)
 	}
-	if _, err := observer.AnalyzeChannels([]*wire.Receiver{mk(1), mk(2)}, prog, predict.Options{}); err == nil {
+	if _, err := observer.AnalyzeSession([]*wire.Receiver{mk(1), mk(2)}, prog, observer.SessionOptions{}); err == nil {
 		t.Errorf("disagreeing hellos accepted")
 	}
 	// No hello at all.
 	var buf bytes.Buffer
 	wire.NewSender(&buf).SendBye()
-	if _, err := observer.AnalyzeChannels([]*wire.Receiver{wire.NewReceiver(&buf)}, prog, predict.Options{}); err == nil {
+	if _, err := observer.AnalyzeSession([]*wire.Receiver{wire.NewReceiver(&buf)}, prog, observer.SessionOptions{}); err == nil {
 		t.Errorf("hello-less session accepted")
+	}
+}
+
+// TestRepeatedHello pins the one hello rule every entry point follows,
+// in strict and lossy mode alike: a repeated hello equal to the first
+// is ignored, and a different one is an error.
+func TestRepeatedHello(t *testing.T) {
+	prog := monitor.MustCompile(logic.MustParseFormula("x >= 0"))
+	first := wire.Hello{Threads: 1, Initial: logic.StateFromMap(map[string]int64{"x": 0})}
+	session := func(second wire.Hello) *wire.Receiver {
+		var buf bytes.Buffer
+		s := wire.NewSender(&buf)
+		s.SendHello(first)
+		s.SendHello(second)
+		s.SendThreadDone(0)
+		s.SendBye()
+		return wire.NewReceiver(&buf)
+	}
+	for _, lossy := range []bool{false, true} {
+		if _, err := observer.Analyze(session(first), prog, predict.Options{Lossy: lossy}); err != nil {
+			t.Errorf("lossy=%v: equal repeated hello rejected: %v", lossy, err)
+		}
+		other := wire.Hello{Threads: 2, Initial: first.Initial}
+		if _, err := observer.Analyze(session(other), prog, predict.Options{Lossy: lossy}); err == nil {
+			t.Errorf("lossy=%v: conflicting repeated hello accepted", lossy)
+		}
+	}
+}
+
+// TestSessionErrorCounted: a session that dies on a strict-mode wire
+// error counts once in gompax_observer_session_errors_total, through
+// AnalyzeSession (gompaxd's entry point) too.
+func TestSessionErrorCounted(t *testing.T) {
+	raw := landingSessionWithLanding(t)
+	damaged := append([]byte(nil), raw...)
+	damaged[len(damaged)/2] ^= 0xff
+	prog := monitor.MustCompile(logic.MustParseFormula(progs.LandingProperty))
+	errs := telemetry.Default().NewCounter("gompax_observer_session_errors_total", "")
+	before := errs.Value()
+	_, err := observer.AnalyzeSession([]*wire.Receiver{wire.NewReceiver(bytes.NewReader(damaged))}, prog,
+		observer.SessionOptions{})
+	if err == nil {
+		t.Fatal("strict session accepted a damaged frame")
+	}
+	if n := errs.Value() - before; n != 1 {
+		t.Fatalf("session errors counter rose by %d, want 1", n)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -428,6 +429,71 @@ func TestDaemonDrain(t *testing.T) {
 	// Drain is idempotent.
 	if err := d.Drain(time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDaemonIdleTimeout: a client that handshakes, sends a Hello and a
+// few frames, then goes silent without closing gets a degraded verdict
+// once the idle timeout fires, and the session leaves no goroutine
+// behind.
+func TestDaemonIdleTimeout(t *testing.T) {
+	_, addr := newTestDaemon(t, Config{IdleTimeout: 200 * time.Millisecond})
+	s, err := observer.Drain(wire.NewReceiver(bytes.NewReader(crossingBlob(t, cleanProp, 1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prefix bytes.Buffer
+	snd := wire.NewSender(&prefix)
+	snd.SendHello(s.Hello)
+	for _, m := range s.Messages[:len(s.Messages)-1] {
+		snd.SendMessage(m)
+	}
+	if err := snd.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	baseline := runtime.NumGoroutine()
+	c, err := DialSession("tcp", addr, "clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Conn().Write(prefix.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.Finish(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Verdict != VerdictDegraded || !v.Degraded {
+		t.Fatalf("silent client verdict = %+v, want degraded", v)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// TestDaemonHelloThreadBound: a Hello announcing more than
+// wire.MaxThreads threads is a corrupt frame, so its session ends
+// before any hello with verdict=error instead of sizing per-thread
+// state from the count, and the daemon serves the next session
+// normally.
+func TestDaemonHelloThreadBound(t *testing.T) {
+	_, addr := newTestDaemon(t, Config{})
+	var huge bytes.Buffer
+	snd := wire.NewSender(&huge)
+	snd.SendHello(wire.Hello{Threads: 1 << 40, Initial: logic.StateFromMap(map[string]int64{"x": 0})})
+	snd.SendBye()
+	v, _, err := runSession(addr, "clean", huge.Bytes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Verdict != VerdictError {
+		t.Fatalf("huge-hello session verdict = %+v, want error", v)
+	}
+	v, _, err = runSession(addr, "clean", crossingBlob(t, cleanProp, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Verdict != VerdictOK {
+		t.Fatalf("session after the huge hello: verdict = %+v, want ok", v)
 	}
 }
 

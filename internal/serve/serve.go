@@ -485,9 +485,10 @@ func (d *Daemon) handle(p *pending) {
 	defer untrack()
 
 	// The session context aborts the analysis (drain deadline, daemon
-	// stop); closing the connection when it fires unblocks the pump
-	// goroutine's read so nothing leaks — the contract documented on
-	// observer.SessionOptions.Ctx.
+	// stop). The observer reads the connection inline and ends its own
+	// blocked read through the read deadline (the contract documented
+	// on observer.SessionOptions.Ctx); closing the connection when the
+	// context fires also tells the client at once.
 	sctx, cancel := context.WithCancel(d.ctx)
 	defer cancel()
 	unwatch := context.AfterFunc(sctx, func() { conn.Close() })
@@ -502,10 +503,10 @@ func (d *Daemon) handle(p *pending) {
 			Workers:         d.cfg.Workers,
 			Counterexamples: d.cfg.Counterexamples,
 			Progress:        progress,
+			Span:            root,
 		},
 		IdleTimeout: d.cfg.IdleTimeout,
 		Ctx:         sctx,
-		Span:        root,
 	})
 
 	rec := buildRecord(id, p.sp, remoteOf(conn), start, res, aerr, r.Stats())

@@ -18,7 +18,9 @@ var (
 	ErrBadVarint = fmt.Errorf("%w: malformed varint", ErrBadFrame)
 	// ErrTruncated: the buffer or stream ended inside a frame.
 	ErrTruncated = fmt.Errorf("%w: truncated", ErrBadFrame)
-	// ErrBadLength: a length field exceeds the frame size limit.
+	// ErrBadLength: a length or count field is out of range (a frame
+	// longer than the size limit, a Hello thread count outside
+	// 1..MaxThreads).
 	ErrBadLength = fmt.Errorf("%w: length out of range", ErrBadFrame)
 	// ErrBadChecksum: the frame's CRC32C does not match its content.
 	ErrBadChecksum = fmt.Errorf("%w: crc32c mismatch", ErrBadFrame)

@@ -49,8 +49,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"os"
 	"sort"
 	"sync"
+	"time"
 
 	"gompax/internal/clock"
 	"gompax/internal/event"
@@ -111,6 +113,14 @@ const deltaRefresh = 32
 const frameMagic = 0xA7
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// MaxThreads bounds the thread count a Hello may announce. The
+// observer sizes its per-thread state from the count before any message
+// arrives, so an unchecked count from a peer could exhaust the
+// observer's memory; decoding rejects a count below 1 or above this
+// bound as a malformed frame. It is 64x the largest program in use
+// (progs.DeepFanIn at 1,024 threads).
+const MaxThreads = 1 << 16
 
 // Hello is the session-opening frame payload.
 type Hello struct {
@@ -397,6 +407,9 @@ func decodeHello(buf []byte) (Hello, error) {
 	if err != nil {
 		return h, helloErr(off, "threads", err)
 	}
+	if u < 1 || u > MaxThreads {
+		return h, helloErr(off, "threads", fmt.Errorf("%w: %d threads, want 1..%d", ErrBadLength, u, MaxThreads))
+	}
 	h.Threads = int(u)
 	off += n
 	count, n, err := getUvarint(buf[off:])
@@ -682,6 +695,20 @@ func (r *Receiver) SawBye() bool {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
 	return r.snapSawBye
+}
+
+// SetReadDeadline sets the read deadline of the underlying transport
+// (a net.Conn, net.Pipe or os.File pipe) and fails with
+// os.ErrNoDeadline when the transport has none. A Next that fails on
+// the deadline loses nothing: the bytes it read stay buffered, and once
+// the deadline is extended Next resumes where it stopped. Safe to call
+// concurrently with a blocked Next when the transport's
+// SetReadDeadline is, as net.Conn's is.
+func (r *Receiver) SetReadDeadline(t time.Time) error {
+	if d, ok := r.r.(interface{ SetReadDeadline(time.Time) error }); ok {
+		return d.SetReadDeadline(t)
+	}
+	return os.ErrNoDeadline
 }
 
 // publish copies the live counters into the concurrent-read snapshot

@@ -7,8 +7,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"net"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"gompax/internal/clock"
 	"gompax/internal/event"
@@ -320,6 +323,86 @@ func TestHelloVersionMismatch(t *testing.T) {
 	r := NewReceiver(bytes.NewReader(raw))
 	if _, err := r.Next(); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
+	}
+}
+
+// TestHelloThreadBound: a Hello announcing a thread count outside
+// 1..MaxThreads is a malformed frame. The observer sizes per-thread
+// state from the count, so a strict receiver must return the error and
+// a resync receiver must count the frame corrupt and never deliver it.
+func TestHelloThreadBound(t *testing.T) {
+	encode := func(threads int) []byte {
+		var buf bytes.Buffer
+		s := NewSender(&buf)
+		if err := s.SendHello(Hello{Threads: threads, Initial: logic.StateFromMap(map[string]int64{"x": 0})}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, threads := range []int{0, MaxThreads + 1, 1 << 40, -1} {
+		raw := encode(threads)
+		if _, err := NewReceiver(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrBadLength) {
+			t.Errorf("threads=%d: strict receiver got %v, want ErrBadLength", threads, err)
+		}
+		r := NewResyncReceiver(bytes.NewReader(raw))
+		if f, err := r.Next(); err != io.EOF {
+			t.Errorf("threads=%d: resync receiver delivered %v (err %v), want EOF", threads, f.Kind, err)
+		}
+		if s := r.Stats(); s.CorruptFrames != 1 || s.Frames != 0 {
+			t.Errorf("threads=%d: resync stats %s, want one corrupt frame", threads, s)
+		}
+	}
+	for _, threads := range []int{1, MaxThreads} {
+		f, err := NewReceiver(bytes.NewReader(encode(threads))).Next()
+		if err != nil || f.Hello.Threads != threads {
+			t.Errorf("threads=%d: got %+v, %v", threads, f.Hello, err)
+		}
+	}
+}
+
+// TestReceiverResumesAfterReadDeadline pins the contract the observer's
+// inline read relies on: a Next that fails on the transport's read
+// deadline mid-frame loses nothing, and once the deadline is extended
+// the same Next delivers the frame. A transport without deadlines
+// reports os.ErrNoDeadline.
+func TestReceiverResumesAfterReadDeadline(t *testing.T) {
+	raw := sessionBytes(t)
+	frames := splitFrames(t, raw)
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	resume := make(chan struct{})
+	go func() {
+		half := len(frames[0]) / 2
+		client.Write(frames[0][:half])
+		<-resume
+		client.Write(raw[half:])
+		client.Close()
+	}()
+	r := NewReceiver(server)
+	if err := r.SetReadDeadline(time.Now().Add(30 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := r.Next()
+	close(resume)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("first Next: %v, want the read deadline", err)
+	}
+	if err := r.SetReadDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	got := drainFrames(t, r)
+	if len(got) != len(frames) {
+		t.Fatalf("delivered %d frames after the deadline, want %d", len(got), len(frames))
+	}
+	if s := r.Stats(); s.Lossy() {
+		t.Fatalf("resumed read misaccounted: %s", s)
+	}
+	if err := NewReceiver(bytes.NewReader(raw)).SetReadDeadline(time.Now()); !errors.Is(err, os.ErrNoDeadline) {
+		t.Fatalf("bytes.Reader transport: %v, want os.ErrNoDeadline", err)
 	}
 }
 
