@@ -1,9 +1,16 @@
 GO ?= go
 
-.PHONY: build vet test race chaos fuzz fuzz-smoke bench-lattice bench-selftest bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
+.PHONY: build fmt-check vet test race chaos fuzz fuzz-smoke bench-lattice bench-selftest bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
 
 build:
 	$(GO) build ./...
+
+# Fail when any Go file is not gofmt-clean. The benchmark's build
+# directory holds a toolchain and module cache of its own, so it is
+# not scanned.
+fmt-check:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -102,4 +109,4 @@ lab-gate:
 gate:
 	GO=$(GO) bash scripts/gate.sh
 
-verify: build vet race fuzz-smoke bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate
+verify: build fmt-check vet race fuzz-smoke bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate

@@ -43,45 +43,47 @@ type clientConfig struct {
 }
 
 // streamInto executes the instrumented program and writes the session
-// byte stream to w, through the fault injector when chaos is set.
-func (c clientConfig) streamInto(w io.Writer) error {
+// byte stream to w, through the fault injector when chaos is set, and
+// returns the injector's statistics (zero without chaos).
+func (c clientConfig) streamInto(w io.Writer) (stats wire.FaultStats, err error) {
 	src, err := os.ReadFile(c.progFile)
 	if err != nil {
-		return err
+		return stats, err
 	}
 	p, err := mtl.Parse(string(src))
 	if err != nil {
-		return err
+		return stats, err
 	}
 	code, err := mtl.Compile(p)
 	if err != nil {
-		return err
+		return stats, err
 	}
 	formula, err := logic.ParseFormula(c.prop)
 	if err != nil {
-		return err
+		return stats, err
 	}
 	policy := instrument.PolicyFor(formula)
 	initial, err := instrument.InitialState(code.Prog, formula)
 	if err != nil {
-		return err
+		return stats, err
 	}
-	if c.chaos > 0 {
-		fw := wire.NewFaultWriter(w, wire.FaultPlan{
-			Seed:       c.chaosSeed,
-			Drop:       c.chaos,
-			Corrupt:    c.chaos,
-			Duplicate:  c.chaos,
-			Delay:      c.chaos,
-			MaxDelay:   4,
-			SpareHello: true,
-		})
-		if err := instrument.RunStreaming(code, policy, initial, sched.NewRandom(c.seed), c.maxEvents, fw); err != nil {
-			return err
-		}
-		return fw.Close()
+	if c.chaos <= 0 {
+		return stats, instrument.RunStreaming(code, policy, initial, sched.NewRandom(c.seed), c.maxEvents, w)
 	}
-	return instrument.RunStreaming(code, policy, initial, sched.NewRandom(c.seed), c.maxEvents, w)
+	fw := wire.NewFaultWriter(w, wire.FaultPlan{
+		Seed:       c.chaosSeed,
+		Drop:       c.chaos,
+		Corrupt:    c.chaos,
+		Duplicate:  c.chaos,
+		Delay:      c.chaos,
+		MaxDelay:   4,
+		SpareHello: true,
+	})
+	err = instrument.RunStreaming(code, policy, initial, sched.NewRandom(c.seed), c.maxEvents, fw)
+	if err == nil {
+		err = fw.Close()
+	}
+	return fw.Stats(), err
 }
 
 // runCapture writes one instrumented session to a file, to be replayed
@@ -92,7 +94,7 @@ func runCapture(stdout, stderr io.Writer, c clientConfig) int {
 		fmt.Fprintln(stderr, "gompax:", err)
 		return exitError
 	}
-	if err := c.streamInto(f); err != nil {
+	if _, err := c.streamInto(f); err != nil {
 		f.Close()
 		fmt.Fprintln(stderr, "gompax:", err)
 		return exitError
@@ -205,7 +207,7 @@ func runConnect(stdout, stderr io.Writer, c clientConfig) int {
 		}
 	} else {
 		ssp.SetAttr("source", "live")
-		if err := c.streamInto(cl.Conn()); err != nil {
+		if _, err := c.streamInto(cl.Conn()); err != nil {
 			ssp.End()
 			cl.Close()
 			fmt.Fprintf(stderr, "gompax: session %s: streaming session: %v\n", cl.ID(), err)

@@ -20,6 +20,7 @@ func startDaemon(t *testing.T) string {
 		Specs: map[string]string{
 			"crossing": crossingProp,
 			"clean":    "x < 100",
+			"chan":     "done >= 0",
 		},
 		Counterexamples: true,
 	})
@@ -187,5 +188,31 @@ func TestConnectErrors(t *testing.T) {
 	code, _, _ = runCLI("-connect", "127.0.0.1:1", "-session", "nope.bin")
 	if code != exitError {
 		t.Fatalf("dead daemon: exit %d", code)
+	}
+}
+
+// TestEventBoundOnEveryPath: -max-events fails a run that exceeds it
+// the same way on the local, -capture and -connect paths (exit 2), and
+// its default applies to all three. A streamed run cut short by the
+// bound sends no Bye, so the daemon never judges the truncated
+// pipeline as a lost message or a partial deadlock.
+func TestEventBoundOnEveryPath(t *testing.T) {
+	addr := startDaemon(t)
+	capture := filepath.Join(t.TempDir(), "session.bin")
+	pipeline := []string{"-prog", "../../testdata/pipeline.mtl", "-prop", "done >= 0", "-seed", "1", "-max-events", "3"}
+	for _, mode := range [][]string{nil, {"-capture", capture}, {"-connect", addr, "-spec", "chan"}} {
+		code, out, stderr := runCLI(append(mode, pipeline...)...)
+		if code != exitError || !strings.Contains(stderr, "exceeded 3 events") {
+			t.Fatalf("%v: exit %d, out %q, stderr %q; want exit %d with the event-bound error", mode, code, out, stderr, exitError)
+		}
+	}
+
+	spin := filepath.Join(t.TempDir(), "spin.mtl")
+	if err := os.WriteFile(spin, []byte("shared x = 0, y = 0;\nthread spin { while (y == 0) { x = x + 1; } }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI("-capture", capture, "-prog", spin, "-prop", "y = 0")
+	if code != exitError || !strings.Contains(stderr, "exceeded 1000000 events") {
+		t.Fatalf("-capture of a spinning program: exit %d stderr %q; want the default 1e6 bound", code, stderr)
 	}
 }

@@ -72,13 +72,10 @@ import (
 
 	"gompax/internal/clock"
 	"gompax/internal/driver"
-	"gompax/internal/instrument"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
-	"gompax/internal/mtl"
 	"gompax/internal/observer"
 	"gompax/internal/predict"
-	"gompax/internal/sched"
 	"gompax/internal/telemetry"
 	"gompax/internal/wire"
 )
@@ -141,6 +138,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitError
 	}
 	clock.SetDefaultRepr(repr)
+	if *maxEvents == 0 {
+		*maxEvents = 1_000_000 // the documented default, on every path
+	}
 
 	// Client modes: capture a session to a file, or ship one to a
 	// gompaxd daemon, instead of analyzing locally.
@@ -196,7 +196,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := 0; i < *runs; i++ {
 		s := *seed + int64(i)
 		if *chaos > 0 {
-			violated, deg, err := runChaos(stdout, string(src), *prop, s, *chaos, *chaosSeed, *maxEvents, *maxCuts, *workers)
+			cc.seed = s
+			violated, deg, err := runChaos(stdout, cc, *maxCuts, *workers)
 			if err != nil {
 				fmt.Fprintln(stderr, "gompax:", err)
 				return exitError
@@ -290,16 +291,8 @@ func markDegraded(log *slog.Logger) {
 // exercising the fault-tolerance path end to end from the CLI. It
 // reports whether a violation was predicted and whether the analysis
 // finished degraded.
-func runChaos(stdout io.Writer, src, prop string, seed int64, rate float64, chaosSeed int64, maxEvents uint64, maxCuts, workers int) (violated, degraded bool, err error) {
-	p, err := mtl.Parse(src)
-	if err != nil {
-		return false, false, err
-	}
-	code, err := mtl.Compile(p)
-	if err != nil {
-		return false, false, err
-	}
-	formula, err := logic.ParseFormula(prop)
+func runChaos(stdout io.Writer, c clientConfig, maxCuts, workers int) (violated, degraded bool, err error) {
+	formula, err := logic.ParseFormula(c.prop)
 	if err != nil {
 		return false, false, err
 	}
@@ -307,36 +300,18 @@ func runChaos(stdout io.Writer, src, prop string, seed int64, rate float64, chao
 	if err != nil {
 		return false, false, err
 	}
-	policy := instrument.PolicyFor(formula)
-	initial, err := instrument.InitialState(code.Prog, formula)
+	var damaged bytes.Buffer
+	fs, err := c.streamInto(&damaged)
 	if err != nil {
 		return false, false, err
 	}
 
-	var damaged bytes.Buffer
-	fw := wire.NewFaultWriter(&damaged, wire.FaultPlan{
-		Seed:       chaosSeed,
-		Drop:       rate,
-		Corrupt:    rate,
-		Duplicate:  rate,
-		Delay:      rate,
-		MaxDelay:   4,
-		SpareHello: true,
-	})
-	if err := instrument.RunStreaming(code, policy, initial, sched.NewRandom(seed), maxEvents, fw); err != nil {
-		return false, false, err
-	}
-	if err := fw.Close(); err != nil {
-		return false, false, err
-	}
-	fs := fw.Stats()
-
-	r := wire.NewResyncReceiver(bytes.NewReader(damaged.Bytes()))
+	r := wire.NewResyncReceiver(&damaged)
 	res, err := observer.Analyze(r, prog, predict.Options{Lossy: true, MaxCuts: maxCuts, Workers: workers})
 	if err != nil {
 		return false, false, err
 	}
-	fmt.Fprintf(stdout, "--- seed %d (chaos rate %g, chaos seed %d) ---\n", seed, rate, chaosSeed)
+	fmt.Fprintf(stdout, "--- seed %d (chaos rate %g, chaos seed %d) ---\n", c.seed, c.chaos, c.chaosSeed)
 	fmt.Fprintf(stdout, "injected: %d frames: %d dropped, %d corrupted, %d truncated, %d duplicated, %d delayed\n",
 		fs.Frames, fs.Dropped, fs.Corrupted, fs.Truncated, fs.Duplicated, fs.Delayed)
 	fmt.Fprintf(stdout, "received: %s\n", r.Stats())

@@ -14,96 +14,36 @@ import (
 	"gompax/internal/wire"
 )
 
-// senderSink adapts a wire.Sender to mvc.Sink, streaming each relevant
-// message as it is generated — the socket of JMPaX's Fig. 4.
-type senderSink struct {
-	s   *wire.Sender
-	err error
-}
-
-// Emit implements mvc.Sink.
-func (ss *senderSink) Emit(m event.Message) {
-	if ss.err != nil {
-		return
-	}
-	ss.err = ss.s.SendMessage(m)
-}
-
 // RunStreaming executes the program under the scheduler with
-// instrumentation attached, streaming the whole session (hello,
-// messages, per-thread completion notices, bye) to w. initial must be
-// the initial state of the relevant variables.
-func RunStreaming(code *mtl.Compiled, policy mvc.Policy, initial logic.State, s sched.Scheduler, maxEvents uint64, w io.Writer) error {
-	if len(code.Tasks) > 0 {
-		return fmt.Errorf("instrument: streaming sessions do not support dynamically spawned threads (the hello frame fixes the thread count)")
-	}
-	mRuns.With("stream").Inc()
-	sp := telemetry.StartSpan("instrument.stream")
-	defer sp.End()
-	sender := wire.NewSender(w)
-	if err := sender.SendHello(wire.Hello{Threads: len(code.Threads), Initial: initial}); err != nil {
-		return err
-	}
-	sink := &senderSink{s: sender}
-	in := New(len(code.Threads), policy, sink)
-	m := interp.NewMachine(code, in)
-
-	done := make([]bool, len(code.Threads))
-	for !m.Done() {
-		runnable := m.Runnable()
-		if len(runnable) == 0 {
-			break // deadlock: stream what we have and close the session
-		}
-		tid := s.Next(runnable)
-		kind, err := m.Step(tid)
-		if err != nil {
-			return err
-		}
-		if sink.err != nil {
-			return sink.err
-		}
-		if kind == interp.Finished && !done[tid] {
-			done[tid] = true
-			if err := sender.SendThreadDone(tid); err != nil {
-				return err
-			}
-		}
-		if maxEvents > 0 && m.Events() > maxEvents {
-			break
-		}
-		// Flush eagerly so the observer sees events promptly; a real
-		// deployment would flush on a timer or buffer high-water mark.
-		if err := sender.Flush(); err != nil {
-			return err
-		}
-	}
-	// Threads that never reached their halt step (deadlock/limit) are
-	// still marked complete: the session is over.
-	for tid := range done {
-		if !done[tid] {
-			if err := sender.SendThreadDone(tid); err != nil {
-				return err
-			}
-		}
-	}
-	return sender.SendBye()
-}
-
-// RunStreamingChannels executes the program with instrumentation,
-// splitting the session across several channels: thread i's messages
-// and completion notice travel on channel i mod len(ws). Every channel
-// carries the Hello and a closing Bye; each channel individually
-// preserves its threads' message order while the channels themselves
-// race — the deployment §2.2 alludes to with "multiple channels to
-// reduce the monitoring overhead".
-func RunStreamingChannels(code *mtl.Compiled, policy mvc.Policy, initial logic.State, s sched.Scheduler, maxEvents uint64, ws []io.Writer) error {
+// instrumentation attached and streams the session to the observer as
+// it runs — the socket of JMPaX's Fig. 4: a Hello, each relevant
+// message as it is generated, a thread's completion notice at the step
+// it halts, one flush per step, and a closing Bye. With several
+// writers, thread i's frames travel on ws[i mod len(ws)] and every
+// writer carries the Hello and a Bye; each writer preserves its
+// threads' order while the writers race — the "multiple channels to
+// reduce the monitoring overhead" of §2.2. initial must be the initial
+// state of the relevant variables.
+//
+// The stream ends as Run's execution does. A deadlock is a whole
+// observation: the threads still parked get their completion notices,
+// the session closes with Bye, and the error is nil. Any other error —
+// a runtime fault, a failed write, or exceeding maxEvents (0 =
+// unlimited), which fails exactly as in Run — is returned with no Bye
+// sent, so the observer degrades the session (MissingBye) and the
+// whole-trace analyses abstain.
+func RunStreaming(code *mtl.Compiled, policy mvc.Policy, initial logic.State, s sched.Scheduler, maxEvents uint64, ws ...io.Writer) error {
 	if len(ws) == 0 {
 		return fmt.Errorf("instrument: no channels")
 	}
 	if len(code.Tasks) > 0 {
 		return fmt.Errorf("instrument: streaming sessions do not support dynamically spawned threads (the hello frame fixes the thread count)")
 	}
-	mRuns.With("channels").Inc()
+	mode := "stream"
+	if len(ws) > 1 {
+		mode = "channels"
+	}
+	mRuns.With(mode).Inc()
 	sp := telemetry.StartSpan("instrument.stream")
 	defer sp.End()
 	senders := make([]*wire.Sender, len(ws))
@@ -117,46 +57,41 @@ func RunStreamingChannels(code *mtl.Compiled, policy mvc.Policy, initial logic.S
 
 	var sinkErr error
 	sink := mvc.SinkFunc(func(msg event.Message) {
-		if sinkErr != nil {
-			return
+		if sinkErr == nil {
+			sinkErr = route(msg.Event.Thread).SendMessage(msg)
 		}
-		sinkErr = route(msg.Event.Thread).SendMessage(msg)
 	})
-	in := New(len(code.Threads), policy, sink)
-	m := interp.NewMachine(code, in)
-
+	m := interp.NewMachine(code, New(len(code.Threads), policy, sink))
 	done := make([]bool, len(code.Threads))
-	for !m.Done() {
-		runnable := m.Runnable()
-		if len(runnable) == 0 {
-			break
-		}
-		tid := s.Next(runnable)
-		kind, err := m.Step(tid)
-		if err != nil {
-			return err
-		}
+	threadDone := func(tid int) error {
+		done[tid] = true
+		return route(tid).SendThreadDone(tid)
+	}
+	err := sched.RunSteps(m, s, maxEvents, func(tid int, kind interp.StepKind) error {
 		if sinkErr != nil {
 			return sinkErr
 		}
-		if kind == interp.Finished && !done[tid] {
-			done[tid] = true
-			if err := route(tid).SendThreadDone(tid); err != nil {
+		if kind == interp.Finished {
+			if err := threadDone(tid); err != nil {
 				return err
 			}
 		}
-		if maxEvents > 0 && m.Events() > maxEvents {
-			break
-		}
+		// Flush every step so the observer sees events promptly; a
+		// real deployment would flush on a timer or buffer high-water
+		// mark.
 		for _, snd := range senders {
 			if err := snd.Flush(); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+	if _, deadlock := err.(*sched.DeadlockError); err != nil && !deadlock {
+		return err
 	}
 	for tid := range done {
 		if !done[tid] {
-			if err := route(tid).SendThreadDone(tid); err != nil {
+			if err := threadDone(tid); err != nil {
 				return err
 			}
 		}

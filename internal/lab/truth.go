@@ -296,7 +296,7 @@ func (c *chanOutcomes) ChanSendClosed(tid int, ch string, _ int64) {
 	c.faulted[ch] = true
 	delete(c.parked, tid) // the thread halts on the fault, it is not parked
 }
-func (c *chanOutcomes) ChanRecvClosed(tid int, ch string)  { delete(c.parked, tid) }
+func (c *chanOutcomes) ChanRecvClosed(tid int, ch string)      { delete(c.parked, tid) }
 func (c *chanOutcomes) ChanBlock(tid int, ch string, _ string) { c.parked[tid] = ch }
 
 // keys folds the run's outcomes into the truth set: executed faults,

@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"gompax/internal/causality"
+	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/logic"
 	"gompax/internal/mvc"
 	"gompax/internal/trace"
-	"gompax/internal/clock"
 )
 
 func msg(thread int, varName string, value int64, comps ...uint64) event.Message {

@@ -344,8 +344,8 @@ func TestMultiChannelOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := instrument.RunStreamingChannels(code, policy, initial, sched.NewRandom(seed), 0,
-		[]io.Writer{c1, c2}); err != nil {
+	ws := []io.Writer{c1, c2}
+	if err := instrument.RunStreaming(code, policy, initial, sched.NewRandom(seed), 0, ws...); err != nil {
 		t.Fatal(err)
 	}
 	c1.Close()

@@ -94,10 +94,20 @@ type analysisStatus struct {
 	Done         bool  `json:"done"`
 }
 
-// publishStatus publishes the live analysis snapshot for /statusz.
+// publishStatus publishes the live analysis snapshot for /statusz,
+// once per sealed level. The snapshot holds a capped view of the live
+// LevelWidths, not a copy: the slice only grows by append, so the view
+// never changes under a reader and publication is O(1) per level. The
+// final snapshot (done) is a copy, since the finished slice escapes to
+// the caller.
 func publishStatus(res *Result, done bool) {
 	if !telemetry.Active() {
 		return
+	}
+	widths := res.Stats.LevelWidths
+	widths = widths[:len(widths):len(widths)]
+	if done {
+		widths = append([]int(nil), widths...)
 	}
 	telemetry.PublishStatus("analysis", analysisStatus{
 		Cuts:         res.Stats.Cuts,
@@ -105,7 +115,7 @@ func publishStatus(res *Result, done bool) {
 		Levels:       res.Stats.Levels,
 		MaxWidth:     res.Stats.MaxWidth,
 		MaxPairWidth: res.Stats.MaxPairWidth,
-		LevelWidths:  append([]int(nil), res.Stats.LevelWidths...),
+		LevelWidths:  widths,
 		Violations:   len(res.Violations),
 		Degraded:     res.Degraded.Any(),
 		Done:         done,

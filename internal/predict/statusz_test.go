@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"gompax/internal/lattice"
@@ -78,4 +79,39 @@ func TestStatuszGoldenFig6(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("statusz snapshot drifted from %s:\n got: %s\nwant: %s", golden, got, want)
 	}
+}
+
+// TestStatusPublicationLinear: while telemetry is active the analysis
+// publishes a /statusz snapshot at every sealed level. Publishing must
+// cost O(1) per level, not a copy of the whole LevelWidths profile, so
+// a deep single-thread chain allocates about what it does with
+// telemetry off.
+func TestStatusPublicationLinear(t *testing.T) {
+	const events = 4000 // 4,001 levels
+	comp, _ := gridComputation(t, 1, events)
+	prog := monitor.MustCompile(logic.MustParseFormula("g0 >= 0"))
+	analyzeBytes := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Analyze(prog, comp, Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Levels != events+1 {
+			t.Fatalf("chain has %d levels, want %d", res.Stats.Levels, events+1)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	analyzeBytes() // warm the shared clock table
+	inactive := analyzeBytes()
+	telemetry.SetActive(true)
+	defer telemetry.SetActive(false)
+	defer telemetry.ClearStatus("analysis")
+	active := analyzeBytes()
+	if active > 2*inactive {
+		t.Fatalf("telemetry active: %d B allocated, %.1f× the inactive run's %d B (bound 2×)",
+			active, float64(active)/float64(inactive), inactive)
+	}
+	t.Logf("allocated: inactive %d B, active %d B (%.2f×)", inactive, active, float64(active)/float64(inactive))
 }

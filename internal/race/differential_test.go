@@ -42,14 +42,23 @@ func (r *recorder) add(tid int, name string, kind recKind, child int) {
 	r.events = append(r.events, recEvent{thread: tid, name: name, kind: kind, child: child})
 }
 
-func (r *recorder) Read(tid int, name string, v int64)  { r.add(tid, name, recRead, -1); r.d.Read(tid, name, v) }
-func (r *recorder) Write(tid int, name string, v int64) { r.add(tid, name, recWrite, -1); r.d.Write(tid, name, v) }
-func (r *recorder) Acquire(tid int, l string)           { r.add(tid, l, recSync, -1); r.d.Acquire(tid, l) }
-func (r *recorder) Release(tid int, l string)           { r.add(tid, l, recSync, -1); r.d.Release(tid, l) }
-func (r *recorder) Signal(tid int, c string)            { r.add(tid, c, recSync, -1); r.d.Signal(tid, c) }
-func (r *recorder) WaitResume(tid int, c string)        { r.add(tid, c, recSync, -1); r.d.WaitResume(tid, c) }
-func (r *recorder) Internal(tid int)                    { r.add(tid, "", recOther, -1); r.d.Internal(tid) }
-func (r *recorder) Spawn(parent, child int)             { r.add(parent, "", recOther, child); r.d.Spawn(parent, child) }
+func (r *recorder) Read(tid int, name string, v int64) {
+	r.add(tid, name, recRead, -1)
+	r.d.Read(tid, name, v)
+}
+func (r *recorder) Write(tid int, name string, v int64) {
+	r.add(tid, name, recWrite, -1)
+	r.d.Write(tid, name, v)
+}
+func (r *recorder) Acquire(tid int, l string)    { r.add(tid, l, recSync, -1); r.d.Acquire(tid, l) }
+func (r *recorder) Release(tid int, l string)    { r.add(tid, l, recSync, -1); r.d.Release(tid, l) }
+func (r *recorder) Signal(tid int, c string)     { r.add(tid, c, recSync, -1); r.d.Signal(tid, c) }
+func (r *recorder) WaitResume(tid int, c string) { r.add(tid, c, recSync, -1); r.d.WaitResume(tid, c) }
+func (r *recorder) Internal(tid int)             { r.add(tid, "", recOther, -1); r.d.Internal(tid) }
+func (r *recorder) Spawn(parent, child int) {
+	r.add(parent, "", recOther, child)
+	r.d.Spawn(parent, child)
+}
 
 var _ interp.Hooks = (*recorder)(nil)
 

@@ -130,47 +130,59 @@ type RunResult struct {
 // which keeps scheduling-dependent non-termination debuggable.
 func Run(m *interp.Machine, s Scheduler, maxEvents uint64) (RunResult, error) {
 	var res RunResult
-	for !m.Done() {
-		runnable := m.Runnable()
-		if len(runnable) == 0 {
-			return res, &DeadlockError{Blocked: m.BlockedThreads(), Schedule: res.Schedule}
-		}
-		tid := s.Next(runnable)
-		ok := false
-		for _, r := range runnable {
-			if r == tid {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return res, fmt.Errorf("sched: scheduler chose non-runnable thread %d (runnable %v)", tid, runnable)
-		}
-		ev0 := m.Events()
-		kind, err := m.Step(tid)
-		if err != nil {
-			return res, err
-		}
-		switch kind {
-		case interp.Progressed, interp.Finished:
+	ev0 := m.Events()
+	err := RunSteps(m, s, maxEvents, func(tid int, kind interp.StepKind) error {
+		// Lock-parking consumed no event and is equivalent to staying
+		// runnable, so it is not part of the schedule. Cond-parking is:
+		// a later notify only wakes threads that have already parked.
+		// Channel first-parks emit a ChanBlock event (m.Events advanced)
+		// and must replay; silent channel re-parks are omitted like
+		// lock-parks.
+		if kind != interp.Blocked || m.Status(tid) == interp.BlockedCond || m.Events() > ev0 {
 			res.Schedule = append(res.Schedule, tid)
-		case interp.Blocked:
-			// Lock-parking consumed no event and is equivalent to
-			// staying runnable, so it is not part of the schedule.
-			// Cond-parking is: a later notify only wakes threads that
-			// have already parked. Channel first-parks emit a ChanBlock
-			// event (m.Events advanced) and must replay; silent channel
-			// re-parks are omitted like lock-parks.
-			if m.Status(tid) == interp.BlockedCond || m.Events() > ev0 {
-				res.Schedule = append(res.Schedule, tid)
-			}
 		}
-		if maxEvents > 0 && m.Events() > maxEvents {
-			return res, fmt.Errorf("sched: exceeded %d events; non-terminating schedule?", maxEvents)
-		}
+		ev0 = m.Events()
+		return nil
+	})
+	if de, ok := err.(*DeadlockError); ok {
+		de.Schedule = res.Schedule
+	}
+	if err != nil {
+		return res, err
 	}
 	res.Events = m.Events()
 	return res, nil
+}
+
+// RunSteps is the scheduler loop behind Run, without the schedule
+// record: it drives the machine until every thread halts, calling step
+// after every Step with the thread stepped and what the step did. A
+// non-nil error from step ends the run with that error. The run ends
+// with a *DeadlockError (with no Schedule) when no thread is runnable
+// while some are still blocked, and with an error once the machine
+// exceeds maxEvents (0 = unlimited), checked after step returns.
+func RunSteps(m *interp.Machine, s Scheduler, maxEvents uint64, step func(tid int, kind interp.StepKind) error) error {
+	for !m.Done() {
+		runnable := m.Runnable()
+		if len(runnable) == 0 {
+			return &DeadlockError{Blocked: m.BlockedThreads()}
+		}
+		tid := s.Next(runnable)
+		if tid < 0 || tid >= m.Threads() || m.Status(tid) != interp.Runnable {
+			return fmt.Errorf("sched: scheduler chose non-runnable thread %d (runnable %v)", tid, runnable)
+		}
+		kind, err := m.Step(tid)
+		if err != nil {
+			return err
+		}
+		if err := step(tid, kind); err != nil {
+			return err
+		}
+		if maxEvents > 0 && m.Events() > maxEvents {
+			return fmt.Errorf("sched: exceeded %d events; non-terminating schedule?", maxEvents)
+		}
+	}
+	return nil
 }
 
 // ExploreResult is the outcome of one explored maximal interleaving.

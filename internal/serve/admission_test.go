@@ -52,10 +52,10 @@ func newTestAdmitter(limits map[string]TenantLimits, depth int) (*admitter, *fak
 
 func TestAdmitterQuotas(t *testing.T) {
 	tests := []struct {
-		name    string
-		limits  TenantLimits
-		depth   int
-		drive   func(t *testing.T, a *admitter, clk *fakeClock)
+		name   string
+		limits TenantLimits
+		depth  int
+		drive  func(t *testing.T, a *admitter, clk *fakeClock)
 	}{
 		{
 			name:   "burst then rate gates",

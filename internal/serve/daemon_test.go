@@ -219,6 +219,44 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDaemonTruncatedStreamDegraded: a client whose instrumented run
+// exceeds its event bound gets the bound's error and sends no Bye, so
+// the daemon stores the truncated session as degraded (missing bye),
+// not as the lost message or partial deadlock the cut makes it look
+// like.
+func TestDaemonTruncatedStreamDegraded(t *testing.T) {
+	d, addr := newTestDaemon(t, Config{Specs: map[string]string{"chan": progs.ChanProperty}})
+	code := mtl.MustCompile(progs.ChanPipeline(6))
+	f := logic.MustParseFormula(progs.ChanProperty)
+	initial, err := instrument.InitialState(code.Prog, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialSession("tcp", addr, "chan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = instrument.RunStreaming(code, instrument.PolicyFor(f), initial, &sched.RoundRobin{Quantum: 100}, 6, c.Conn())
+	if err == nil || !strings.Contains(err.Error(), "exceeded 6 events") {
+		c.Close()
+		t.Fatalf("truncated run: err = %v, want the event-bound error", err)
+	}
+	if cw, ok := c.Conn().(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	v, err := c.Finish(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := d.Store().Get(v.ID)
+	if !ok {
+		t.Fatalf("session %s not in store", v.ID)
+	}
+	if rec.Verdict != VerdictDegraded || rec.Degraded == nil || !rec.Degraded.MissingBye {
+		t.Fatalf("stored record: verdict %s, degraded %v; want degraded with a missing bye", rec.Verdict, rec.Degraded)
+	}
+}
+
 func getJSON(t testing.TB, url string, v any) {
 	t.Helper()
 	resp, err := http.Get(url)

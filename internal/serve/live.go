@@ -96,8 +96,8 @@ func (s liveStatus) MarshalJSON() ([]byte, error) {
 		entries = append(entries, e)
 	}
 	return json.Marshal(struct {
-		Active  int               `json:"active"`
-		Queued  int64             `json:"queued"`
+		Active   int               `json:"active"`
+		Queued   int64             `json:"queued"`
 		InFlight []liveStatusEntry `json:"in_flight"`
 	}{Active: len(entries), Queued: int64(s.d.adm.queuedLen()), InFlight: entries})
 }

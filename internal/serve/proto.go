@@ -43,9 +43,9 @@ const (
 
 // Reject reasons the daemon reports.
 const (
-	ReasonOverloaded   = "overloaded"    // admission queue full
-	ReasonQueueTimeout = "queue-timeout" // queued past Config.QueueTimeout
-	ReasonDraining     = "draining"      // daemon is shutting down
+	ReasonOverloaded    = "overloaded"     // admission queue full
+	ReasonQueueTimeout  = "queue-timeout"  // queued past Config.QueueTimeout
+	ReasonDraining      = "draining"       // daemon is shutting down
 	ReasonBadHandshake  = "bad-handshake"  // greeting missing or malformed
 	ReasonUnknownSpec   = "unknown-spec"   // spec name not registered
 	ReasonQuotaExceeded = "quota-exceeded" // tenant token bucket empty

@@ -527,10 +527,12 @@ func (d *Daemon) handle(p *pending) {
 
 	// Detach the context watcher before the trailer write so a drain
 	// cancellation between the two cannot race the final line; the
-	// record is already durable either way. The root span ends here,
-	// not at the deferred End, so a client that fetches the trace the
-	// moment it sees VERDICT finds the full session tree recorded.
+	// record is already durable either way. The root span ends and the
+	// session leaves the live index here, not at the deferred calls,
+	// so a client that asks the moment it sees VERDICT finds the full
+	// session tree recorded and the progress answered from the record.
 	root.End()
+	untrack()
 	unwatch()
 	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	fmt.Fprintf(conn, "VERDICT id=%s verdict=%s violations=%d cuts=%d degraded=%t\n",

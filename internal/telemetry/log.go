@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"io"
 	"log/slog"
 	"os"
@@ -68,7 +69,62 @@ func SetLogLevel(level slog.Level) { logLevel.Set(level) }
 
 // Logger returns the shared logger tagged with a component name.
 // Components are the pipeline layers: instrument, mvc, wire, observer,
-// predict, monitor, driver, cli.
+// predict, monitor, driver, cli. The logger writes through whichever
+// handler InitLogging installed last, so one taken once — at package
+// init, say — follows later reconfiguration.
 func Logger(component string) *slog.Logger {
-	return rootLogger.Load().With("component", component)
+	return slog.New(&componentHandler{}).With("component", component)
+}
+
+// componentHandler is the handler behind Logger. It replays its
+// derivations (the component tag, then any With and WithGroup calls,
+// in order) onto the current root handler, and caches the result until
+// InitLogging replaces the root. Enabled asks the root directly, so a
+// record below the level costs an atomic load and no allocation.
+type componentHandler struct {
+	ops   []func(slog.Handler) slog.Handler
+	bound atomic.Pointer[boundHandler]
+}
+
+// boundHandler is a componentHandler's derivation of one root logger.
+type boundHandler struct {
+	root *slog.Logger
+	h    slog.Handler
+}
+
+func (c *componentHandler) handler() slog.Handler {
+	root := rootLogger.Load()
+	if b := c.bound.Load(); b != nil && b.root == root {
+		return b.h
+	}
+	h := root.Handler()
+	for _, op := range c.ops {
+		h = op(h)
+	}
+	c.bound.Store(&boundHandler{root: root, h: h})
+	return h
+}
+
+// Enabled implements slog.Handler.
+func (c *componentHandler) Enabled(ctx context.Context, l slog.Level) bool {
+	return rootLogger.Load().Handler().Enabled(ctx, l)
+}
+
+// Handle implements slog.Handler.
+func (c *componentHandler) Handle(ctx context.Context, r slog.Record) error {
+	return c.handler().Handle(ctx, r)
+}
+
+// WithAttrs implements slog.Handler.
+func (c *componentHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	return c.derive(func(h slog.Handler) slog.Handler { return h.WithAttrs(as) })
+}
+
+// WithGroup implements slog.Handler.
+func (c *componentHandler) WithGroup(name string) slog.Handler {
+	return c.derive(func(h slog.Handler) slog.Handler { return h.WithGroup(name) })
+}
+
+func (c *componentHandler) derive(op func(slog.Handler) slog.Handler) slog.Handler {
+	return &componentHandler{ops: append(c.ops[:len(c.ops):len(c.ops)], op)}
 }

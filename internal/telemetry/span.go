@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"log/slog"
 	"time"
 )
@@ -21,6 +22,7 @@ var (
 		"Duration of pipeline spans in nanoseconds.", "span", "parent")
 	spansTotal = Default().NewCounterVec("gompax_spans_total",
 		"Completed pipeline spans.", "span", "parent")
+	spanLog = Logger("span")
 )
 
 // Span is one timed pipeline stage.
@@ -63,7 +65,7 @@ func (s *Span) End() {
 func ObserveSpan(name, parent string, d time.Duration) {
 	spanDurations.With(name, parent).Observe(uint64(d.Nanoseconds()))
 	spansTotal.With(name, parent).Inc()
-	if l := Logger("span"); l.Enabled(nil, slog.LevelDebug) {
-		l.Debug("span end", "span", name, "parent", parent, "duration", d)
+	if spanLog.Enabled(context.Background(), slog.LevelDebug) {
+		spanLog.Debug("span end", "span", name, "parent", parent, "duration", d)
 	}
 }

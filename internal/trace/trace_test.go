@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/mvc"
-	"gompax/internal/clock"
 )
 
 func TestRandomOpsShape(t *testing.T) {
