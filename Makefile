@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet test race chaos fuzz fuzz-smoke bench-lattice bench-selftest bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
+.PHONY: build fmt-check vet test race chaos fuzz fuzz-smoke bench-smoke bench-lattice bench-selftest bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,7 @@ test:
 
 # -count=2 reruns every test twice in one process: the second pass
 # catches tests that mutate shared state, and with -race it doubles
-# the schedules the parallel lattice explorer is exercised under.
+# the schedules the daemon's concurrent sessions are exercised under.
 race:
 	$(GO) test -race -count=2 ./...
 
@@ -29,25 +29,32 @@ race:
 chaos:
 	$(GO) test -run 'Chaos|Corrupt|Fault|Resync|IdleTimeout' ./internal/wire/ ./internal/observer/ ./internal/race/ ./internal/serve/ -v
 
-# Short bounded fuzz pass over the wire decoders, the fault pipeline
-# and the observer session loop.
+# Short bounded fuzz pass over the wire decoders, the fault pipeline,
+# the observer session loop and the daemon handshake.
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzReceiver -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzSessionFaults -fuzztime 10s
 	$(GO) test ./internal/observer/ -fuzz FuzzObserverSession -fuzztime 10s
+	$(GO) test ./internal/serve/ -fuzz FuzzHandshake -fuzztime 10s
 
-# Quick fuzz smoke for verify: a few seconds over the frame decoder and
-# the session loop, enough to catch a decoder or observer regression
-# without stalling the gate.
+# Quick fuzz smoke for verify: a few seconds over the frame decoder,
+# the session loop and the handshake, enough to catch a decoder,
+# observer or admission regression without stalling the gate.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 5s
 	$(GO) test ./internal/observer/ -run '^$$' -fuzz FuzzObserverSession -fuzztime 5s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzHandshake -fuzztime 5s
 
-# Lattice exploration benchmarks: the inline and worker-pool level step
-# on a never-violated grid, and offline vs online on a violating
-# lattice (baseline in BENCH_lattice.json; regenerate it from this
-# output when the explorer or the host changes).
+# Run every benchmark body once, so a benchmark that no longer builds
+# or runs fails CI. It times nothing and writes no BENCH file.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Lattice exploration benchmarks: the level step on a never-violated
+# grid, and offline vs online on a violating lattice (baseline in
+# BENCH_lattice.json; regenerate it from this output when the explorer
+# or the host changes).
 bench-lattice:
 	$(GO) test -run '^$$' -bench 'BenchmarkExplore' -benchmem -benchtime 5x .
 
@@ -109,4 +116,4 @@ lab-gate:
 gate:
 	GO=$(GO) bash scripts/gate.sh
 
-verify: build fmt-check vet race fuzz-smoke bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate
+verify: build fmt-check vet race fuzz-smoke bench-smoke bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate

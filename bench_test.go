@@ -319,12 +319,11 @@ func BenchmarkLatticeLevels(b *testing.B) {
 	}
 }
 
-// --- C4b: sequential vs parallel level-by-level exploration ----------------
+// --- C4b: level-by-level exploration ---------------------------------------
 
 // benchGrid builds a computation of `threads` fully independent
 // threads with `perThread` relevant writes each: a dense
-// (perThread+1)^threads lattice with wide middle levels, the shape the
-// worker pool is meant for.
+// (perThread+1)^threads lattice with wide middle levels.
 func benchGrid(threads, perThread int) (*lattice.Computation, *monitor.Program, error) {
 	m := map[string]int64{}
 	var msgs []event.Message
@@ -348,9 +347,9 @@ func benchGrid(threads, perThread int) (*lattice.Computation, *monitor.Program, 
 	return comp, prog, err
 }
 
-// benchExplore runs the level-by-level analyzer with the given worker
-// count over the wide grid, reporting lattice geometry once.
-func benchExplore(b *testing.B, workers int) {
+// BenchmarkExploreSequential runs the level-by-level analyzer over the
+// wide grid, reporting lattice geometry once.
+func BenchmarkExploreSequential(b *testing.B) {
 	b.ReportAllocs()
 	comp, prog, err := benchGrid(4, 12)
 	if err != nil {
@@ -359,7 +358,7 @@ func benchExplore(b *testing.B, workers int) {
 	var res predict.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = predict.Analyze(prog, comp, predict.Options{Workers: workers})
+		res, err = predict.Analyze(prog, comp, predict.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,11 +366,6 @@ func benchExplore(b *testing.B, workers int) {
 	b.ReportMetric(float64(res.Stats.Cuts), "cuts")
 	b.ReportMetric(float64(res.Stats.MaxWidth), "max-width")
 }
-
-func BenchmarkExploreSequential(b *testing.B) { benchExplore(b, 0) }
-func BenchmarkExploreParallel2(b *testing.B)  { benchExplore(b, 2) }
-func BenchmarkExploreParallel4(b *testing.B)  { benchExplore(b, 4) }
-func BenchmarkExploreParallel8(b *testing.B)  { benchExplore(b, 8) }
 
 // benchPulses builds the two-thread pulse computation: each thread
 // alternately writes its flag 1 then 0, `pulses` times, with no

@@ -26,7 +26,6 @@
 //	               per-frame rate r (drop/corrupt/duplicate/delay each)
 //	               and analyze it in lossy resync mode
 //	-chaos-seed n  fault injector seed (default 1)
-//	-workers n     lattice exploration worker pool
 //	-connect addr  ship the session to a gompaxd daemon instead of
 //	               analyzing locally (host:port, or a unix socket path)
 //	-spec name     daemon spec to check against with -connect
@@ -109,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	explain := fs.Bool("explain", false, "print a subformula truth table over the first counterexample run")
 	chaos := fs.Float64("chaos", 0, "per-frame fault rate: stream through the fault injector and analyze in lossy resync mode")
 	chaosSeed := fs.Int64("chaos-seed", 1, "fault injector seed")
-	workers := fs.Int("workers", 0, "lattice exploration worker pool (0 or 1 = sequential, -1 = GOMAXPROCS)")
 	connect := fs.String("connect", "", "ship the session to a gompaxd daemon at this address (host:port, or a unix socket path) instead of analyzing locally")
 	specName := fs.String("spec", "", "daemon spec name to check against with -connect (daemon default when empty)")
 	tenant := fs.String("tenant", "", "admission tenant to account the session to with -connect")
@@ -197,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s := *seed + int64(i)
 		if *chaos > 0 {
 			cc.seed = s
-			violated, deg, err := runChaos(stdout, cc, *maxCuts, *workers)
+			violated, deg, err := runChaos(stdout, cc, *maxCuts)
 			if err != nil {
 				fmt.Fprintln(stderr, "gompax:", err)
 				return exitError
@@ -221,7 +219,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Enumerate:        *enumerate,
 			ConfirmReplay:    *replay,
 			LivenessProperty: *live,
-			Workers:          *workers,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "gompax:", err)
@@ -291,7 +288,7 @@ func markDegraded(log *slog.Logger) {
 // exercising the fault-tolerance path end to end from the CLI. It
 // reports whether a violation was predicted and whether the analysis
 // finished degraded.
-func runChaos(stdout io.Writer, c clientConfig, maxCuts, workers int) (violated, degraded bool, err error) {
+func runChaos(stdout io.Writer, c clientConfig, maxCuts int) (violated, degraded bool, err error) {
 	formula, err := logic.ParseFormula(c.prop)
 	if err != nil {
 		return false, false, err
@@ -307,7 +304,7 @@ func runChaos(stdout io.Writer, c clientConfig, maxCuts, workers int) (violated,
 	}
 
 	r := wire.NewResyncReceiver(&damaged)
-	res, err := observer.Analyze(r, prog, predict.Options{Lossy: true, MaxCuts: maxCuts, Workers: workers})
+	res, err := observer.Analyze(r, prog, predict.Options{Lossy: true, MaxCuts: maxCuts})
 	if err != nil {
 		return false, false, err
 	}

@@ -35,7 +35,6 @@
 //	-queue-timeout d     max time queued before reject (default 10s)
 //	-max-cuts n          per-session cut budget (0 = unlimited)
 //	-max-width n         per-session level-width budget (0 = unlimited)
-//	-workers n           per-session lattice exploration workers
 //	-idle-timeout d      abandon a silent session after d (default 30s)
 //	-counterexamples     store a violating run per violation (default true)
 //	-grace d             drain grace period on SIGTERM/SIGINT (default 30s)
@@ -183,7 +182,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	queueTimeout := fs.Duration("queue-timeout", 0, "max time a connection may wait in the admission queue")
 	maxCuts := fs.Int("max-cuts", 0, "per-session predictive analysis cut budget (0 = unlimited)")
 	maxWidth := fs.Int("max-width", 0, "per-session lattice level-width budget (0 = unlimited)")
-	workers := fs.Int("workers", 0, "per-session lattice exploration workers")
 	idleTimeout := fs.Duration("idle-timeout", 0, "abandon a session whose transport goes silent for this long")
 	counterexamples := fs.Bool("counterexamples", true, "store a violating run per violation")
 	grace := fs.Duration("grace", 30*time.Second, "drain grace period on SIGTERM/SIGINT")
@@ -237,7 +235,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		QueueTimeout:    *queueTimeout,
 		MaxCuts:         *maxCuts,
 		MaxWidth:        *maxWidth,
-		Workers:         *workers,
 		IdleTimeout:     *idleTimeout,
 		Counterexamples: *counterexamples,
 		StorePath:       *storePath,

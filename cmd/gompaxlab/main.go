@@ -13,8 +13,7 @@
 // Usage:
 //
 //	gompaxlab [-grid default|short|golden|deep] [-seed N] [-generated N]
-//	          [-workers N] [-out DIR] [-gate BENCH_lab.json] [-q]
-//	          [-traces]
+//	          [-out DIR] [-gate BENCH_lab.json] [-q] [-traces]
 //
 // With -traces, each scenario additionally exports its analysis span
 // tree as Chrome trace-event JSON under -out/traces/, linked from the
@@ -35,7 +34,6 @@ func main() {
 		gridName  = flag.String("grid", "default", "scenario grid: default, short, golden, or deep")
 		seed      = flag.Int64("seed", 1, "grid seed (ignored by the golden grid)")
 		generated = flag.Int("generated", -1, "random generated scenarios to append (-1 = 4 on the default grid, 0 otherwise)")
-		workers   = flag.Int("workers", 0, "predictive-analysis worker goroutines (0 = sequential)")
 		out       = flag.String("out", "_lab", "artifact output directory")
 		gatePath  = flag.String("gate", "", "evaluate the floors in this BENCH_lab.json and fail on any miss")
 		quiet     = flag.Bool("q", false, "suppress per-scenario progress")
@@ -63,7 +61,7 @@ func main() {
 		}
 	}
 
-	runner := &lab.Runner{Workers: *workers}
+	runner := &lab.Runner{}
 	if *traces {
 		runner.TraceDir = filepath.Join(*out, "traces")
 	}

@@ -32,10 +32,11 @@
 // semantics.
 //
 // Refs are safe for concurrent use (they are immutable); Tables are
-// internally sharded by digest so concurrent interning from explorer
-// workers does not serialize on one lock. The mutable reference
-// implementation remains package vc; package clock is differentially
-// tested against it (see internal/lattice/latticecheck).
+// internally sharded by digest so concurrent interning into a shared
+// table (Global is process-wide) does not serialize on one lock. The
+// mutable reference implementation remains package vc; package clock
+// is differentially tested against it (see
+// internal/lattice/latticecheck).
 package clock
 
 import (
@@ -391,8 +392,9 @@ func Diff(prev, cur Ref, f func(i int, delta uint64)) bool {
 	return true
 }
 
-// tableShards bounds lock contention when explorer workers intern
-// concurrently; shard choice is by digest so it needs no coordination.
+// tableShards bounds lock contention when concurrent sessions intern
+// into one table; shard choice is by digest so it needs no
+// coordination.
 const tableShards = 32
 
 type tableShard struct {

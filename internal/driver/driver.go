@@ -42,9 +42,6 @@ type Config struct {
 	MaxCuts int
 	// Counterexamples requests full counterexample runs on violations.
 	Counterexamples bool
-	// Workers sets the predictive analyzer's worker pool (0 or 1 =
-	// sequential, negative = GOMAXPROCS; see predict.Options.Workers).
-	Workers int
 	// Enumerate additionally materializes the lattice and checks every
 	// run (exact run statistics; exponential — small computations only).
 	Enumerate bool
@@ -187,7 +184,6 @@ func Check(cfg Config) (*Report, error) {
 	rep.Result, err = predict.Analyze(mprog, comp, predict.Options{
 		MaxCuts:         cfg.MaxCuts,
 		Counterexamples: cfg.Counterexamples || cfg.ConfirmReplay,
-		Workers:         cfg.Workers,
 	})
 	predictSpan.End()
 	if err != nil {

@@ -1,11 +1,9 @@
 package driver
 
 import (
-	"fmt"
 	"os"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"gompax/internal/interp"
@@ -20,20 +18,8 @@ import (
 	"gompax/internal/trace"
 )
 
-// renderAnalysis flattens an analysis result for byte-exact
-// comparisons between the sequential and parallel explorers.
-func renderAnalysis(res predict.Result) string {
-	var b strings.Builder
-	for _, v := range res.Violations {
-		fmt.Fprintf(&b, "viol %s level=%d state=%s\n", v.Cut.Counts().Key(), v.Level, v.State.Key())
-	}
-	fmt.Fprintf(&b, "stats %+v\n", res.Stats)
-	return b.String()
-}
-
 // TestGoldenFig6Levels pins the level-by-level geometry and the
-// verdict of the Fig. 6 reproduction, for the sequential explorer and
-// byte-identically for the parallel one. These numbers come straight
+// verdict of the Fig. 6 reproduction. These numbers come straight
 // from the paper's figure: a 7-cut lattice over 5 levels whose only
 // violating cut is (2,2), the state x=1, y=1, z=1.
 func TestGoldenFig6Levels(t *testing.T) {
@@ -54,29 +40,21 @@ func TestGoldenFig6Levels(t *testing.T) {
 	}
 	prog := monitor.MustCompile(logic.MustParseFormula(progs.CrossingProperty))
 
-	seq, err := predict.Analyze(prog, comp, predict.Options{})
+	res, err := predict.Analyze(prog, comp, predict.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := predict.Stats{Cuts: 7, Pairs: 10, Levels: 5, MaxWidth: 2, MaxPairWidth: 3, LevelWidths: []int{1, 1, 2, 2, 1}}
-	if !reflect.DeepEqual(seq.Stats, want) {
-		t.Errorf("fig6 stats %+v, want %+v", seq.Stats, want)
+	if !reflect.DeepEqual(res.Stats, want) {
+		t.Errorf("fig6 stats %+v, want %+v", res.Stats, want)
 	}
-	if len(seq.Violations) != 1 {
-		t.Fatalf("fig6 predicted %d violations, want 1", len(seq.Violations))
+	if len(res.Violations) != 1 {
+		t.Fatalf("fig6 predicted %d violations, want 1", len(res.Violations))
 	}
-	v := seq.Violations[0]
+	v := res.Violations[0]
 	if v.Cut.Counts().Key() != "2,2" || v.Level != 4 || v.State.Key() != "x=1;y=1;z=1" {
 		t.Errorf("fig6 violation cut=%s level=%d state=%s, want 2,2/4/x=1;y=1;z=1",
 			v.Cut.Counts().Key(), v.Level, v.State.Key())
-	}
-
-	par, err := predict.Analyze(prog, comp, predict.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, wantR := renderAnalysis(par), renderAnalysis(seq); got != wantR {
-		t.Errorf("fig6 parallel differs from sequential:\n%s\nvs\n%s", got, wantR)
 	}
 }
 
@@ -85,29 +63,26 @@ func TestGoldenFig6Levels(t *testing.T) {
 // the violation, with the same geometry as the hand-built Fig. 6 trace.
 func TestGoldenCrossingExample(t *testing.T) {
 	t.Parallel()
-	for _, workers := range []int{0, 8} {
-		rep, err := Check(Config{
-			Source:   progs.Crossing,
-			Property: progs.CrossingProperty,
-			Seed:     0,
-			Workers:  workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := predict.Stats{Cuts: 7, Pairs: 10, Levels: 5, MaxWidth: 2, MaxPairWidth: 3, LevelWidths: []int{1, 1, 2, 2, 1}}
-		if !reflect.DeepEqual(rep.Result.Stats, want) {
-			t.Errorf("workers=%d crossing stats %+v, want %+v", workers, rep.Result.Stats, want)
-		}
-		if len(rep.Result.Violations) != 1 {
-			t.Fatalf("workers=%d crossing predicted %d violations, want 1", workers, len(rep.Result.Violations))
-		}
-		if got := rep.Result.Violations[0].Cut.Counts().Key(); got != "2,2" {
-			t.Errorf("workers=%d crossing violating cut %s, want 2,2", workers, got)
-		}
-		if rep.ObservedViolation >= 0 {
-			t.Errorf("workers=%d crossing seed 0 should observe a successful run", workers)
-		}
+	rep, err := Check(Config{
+		Source:   progs.Crossing,
+		Property: progs.CrossingProperty,
+		Seed:     0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := predict.Stats{Cuts: 7, Pairs: 10, Levels: 5, MaxWidth: 2, MaxPairWidth: 3, LevelWidths: []int{1, 1, 2, 2, 1}}
+	if !reflect.DeepEqual(rep.Result.Stats, want) {
+		t.Errorf("crossing stats %+v, want %+v", rep.Result.Stats, want)
+	}
+	if len(rep.Result.Violations) != 1 {
+		t.Fatalf("crossing predicted %d violations, want 1", len(rep.Result.Violations))
+	}
+	if got := rep.Result.Violations[0].Cut.Counts().Key(); got != "2,2" {
+		t.Errorf("crossing violating cut %s, want 2,2", got)
+	}
+	if rep.ObservedViolation >= 0 {
+		t.Errorf("crossing seed 0 should observe a successful run")
 	}
 }
 
@@ -117,30 +92,27 @@ func TestGoldenCrossingExample(t *testing.T) {
 // with the violation at cut (1,1) — both threads past the check.
 func TestGoldenPetersonBroken(t *testing.T) {
 	t.Parallel()
-	for _, workers := range []int{0, 8} {
-		rep, err := Check(Config{
-			Source:   progs.PetersonBroken,
-			Property: progs.MutualExclusion,
-			Seed:     4,
-			Workers:  workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.ObservedViolation >= 0 {
-			t.Fatalf("workers=%d seed 4 observed the violation directly", workers)
-		}
-		want := predict.Stats{Cuts: 9, Pairs: 11, Levels: 5, MaxWidth: 3, MaxPairWidth: 2, LevelWidths: []int{1, 2, 3, 2, 1}}
-		if !reflect.DeepEqual(rep.Result.Stats, want) {
-			t.Errorf("workers=%d peterson stats %+v, want %+v", workers, rep.Result.Stats, want)
-		}
-		if len(rep.Result.Violations) != 1 {
-			t.Fatalf("workers=%d peterson predicted %d violations, want 1", workers, len(rep.Result.Violations))
-		}
-		v := rep.Result.Violations[0]
-		if v.Cut.Counts().Key() != "1,1" || v.Level != 2 {
-			t.Errorf("workers=%d peterson violation cut=%s level=%d, want 1,1/2", workers, v.Cut.Counts().Key(), v.Level)
-		}
+	rep, err := Check(Config{
+		Source:   progs.PetersonBroken,
+		Property: progs.MutualExclusion,
+		Seed:     4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ObservedViolation >= 0 {
+		t.Fatalf("seed 4 observed the violation directly")
+	}
+	want := predict.Stats{Cuts: 9, Pairs: 11, Levels: 5, MaxWidth: 3, MaxPairWidth: 2, LevelWidths: []int{1, 2, 3, 2, 1}}
+	if !reflect.DeepEqual(rep.Result.Stats, want) {
+		t.Errorf("peterson stats %+v, want %+v", rep.Result.Stats, want)
+	}
+	if len(rep.Result.Violations) != 1 {
+		t.Fatalf("peterson predicted %d violations, want 1", len(rep.Result.Violations))
+	}
+	v := rep.Result.Violations[0]
+	if v.Cut.Counts().Key() != "1,1" || v.Level != 2 {
+		t.Errorf("peterson violation cut=%s level=%d, want 1,1/2", v.Cut.Counts().Key(), v.Level)
 	}
 }
 

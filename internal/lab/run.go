@@ -90,8 +90,6 @@ type Outcome struct {
 type Runner struct {
 	// Truth bounds the ground-truth exploration.
 	Truth TruthOptions
-	// Workers is passed to the predictive analyzer (0 = sequential).
-	Workers int
 	// TraceDir, when set, exports one Chrome trace-event JSON file per
 	// scenario into that directory — the span tree of every observed
 	// run's online analysis, openable in Perfetto. Empty keeps tracing
@@ -238,9 +236,8 @@ func (r *Runner) runOnce(sc Scenario, c *compiled, seed int64, span *tracing.Spa
 		return out, err
 	}
 	res, aerr := observer.Analyze(receiverFor(buf, lossy), c.mprog, predict.Options{
-		Lossy:   lossy,
-		Workers: r.Workers,
-		Span:    span,
+		Lossy: lossy,
+		Span:  span,
 	})
 	if aerr != nil {
 		// Partial results are still scored; the error is recorded.

@@ -39,8 +39,7 @@ import (
 //
 // A Computation is immutable after NewComputation returns: every
 // method (Successors, CanAdvance, Advance, Message, ...) only reads,
-// so one Computation may be shared by any number of goroutines — the
-// parallel level explorer in the predict package relies on this.
+// so one Computation may be shared by any number of goroutines.
 type Computation struct {
 	initial   logic.State
 	perThread [][]event.Message
@@ -48,8 +47,6 @@ type Computation struct {
 	// table interns every cut-count clock of the computation, so cut
 	// Refs built through Advance are canonical: equal cuts carry the
 	// identical Ref, and explorers key their frontiers on it directly.
-	// The table is internally sharded, so concurrent Advance calls
-	// from parallel explorer workers do not serialize.
 	table *clock.Table
 }
 

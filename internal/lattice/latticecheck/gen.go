@@ -1,8 +1,8 @@
 // Package latticecheck is a differential testing harness for the
 // lattice explorers: it generates random multithreaded computations
 // and cross-checks every analyzer the repo ships — the materialized
-// lattice (lattice.Build), the sequential and parallel level-by-level
-// analyzers (predict.Analyze), the online analyzer (predict.Online)
+// lattice (lattice.Build), the level-by-level analyzer
+// (predict.Analyze), the online analyzer (predict.Online)
 // and the exhaustive run enumeration — against one another. Any two of
 // them disagreeing on per-level cut counts, verdicts or statistics is
 // a bug in at least one.

@@ -51,11 +51,10 @@ const maxBuildNodes = 20000
 
 // TestDifferentialExplorers is the harness: ≥200 random computations
 // (40 under -short; GOMPAX_LAB_CASES overrides both), each analyzed by
-// the materialized lattice, the sequential offline
-// analyzer, the parallel offline analyzer, and the online analyzer
-// (sequential and parallel) under a scrambled delivery order. All must
-// agree on per-level cut counts, total cuts, width, verdicts,
-// violation sets and counterexamples.
+// the materialized lattice, the offline analyzer, and the online
+// analyzer under a scrambled delivery order. All must agree on
+// per-level cut counts, total cuts, width, verdicts, violation sets
+// and counterexamples.
 func TestDifferentialExplorers(t *testing.T) {
 	t.Parallel()
 	target := lab.Cases(200, 40, testing.Short())
@@ -119,44 +118,32 @@ func TestDifferentialExplorers(t *testing.T) {
 			}
 		}
 
-		// The parallel explorer is byte-identical to the sequential one.
+		// The online analyzer agrees, whatever the delivery order.
 		want := render(seq)
-		workers := 2 + rng.Intn(7)
-		par, err := predict.Analyze(prog, c.Comp, predict.Options{Counterexamples: cex, Workers: workers})
+		rng.Intn(7) // unused: drawn so each seed keeps generating the same cases
+		shuffled := append([]event.Message(nil), c.Msgs...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		o, err := predict.NewOnline(prog, c.Initial, c.Threads, predict.Options{Counterexamples: cex})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := render(par); got != want {
-			t.Fatalf("iter %d (formula %q, workers %d):\n--- sequential ---\n%s--- parallel ---\n%s",
-				iter, c.Formula, workers, want, got)
+		for _, m := range shuffled {
+			if err := o.Feed(m); err != nil {
+				t.Fatalf("iter %d: feed: %v", iter, err)
+			}
 		}
-
-		// The online analyzer agrees too, whatever the delivery order.
-		shuffled := append([]event.Message(nil), c.Msgs...)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		for _, w := range []int{0, workers} {
-			o, err := predict.NewOnline(prog, c.Initial, c.Threads, predict.Options{Counterexamples: cex, Workers: w})
-			if err != nil {
+		for i := 0; i < c.Threads; i++ {
+			if err := o.FinishThread(i); err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range shuffled {
-				if err := o.Feed(m); err != nil {
-					t.Fatalf("iter %d: feed: %v", iter, err)
-				}
-			}
-			for i := 0; i < c.Threads; i++ {
-				if err := o.FinishThread(i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := o.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := render(res); got != want {
-				t.Fatalf("iter %d (formula %q, online workers %d):\n--- offline ---\n%s--- online ---\n%s",
-					iter, c.Formula, w, want, got)
-			}
+		}
+		res, err := o.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(res); got != want {
+			t.Fatalf("iter %d (formula %q):\n--- offline ---\n%s--- online ---\n%s",
+				iter, c.Formula, want, got)
 		}
 		checked++
 	}
@@ -227,7 +214,7 @@ func TestDetectorMatchesPredictRaces(t *testing.T) {
 
 // TestConcurrentSuccessors drives Computation.Successors from many
 // goroutines over a shared Computation; under -race this proves the
-// documented immutability the parallel explorer relies on.
+// documented immutability.
 func TestConcurrentSuccessors(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(3))

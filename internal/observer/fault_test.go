@@ -7,9 +7,12 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"gompax/internal/clock"
+	"gompax/internal/event"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
 	"gompax/internal/observer"
@@ -97,6 +100,49 @@ func TestLossySessionKeepsVerdictWhenCalm(t *testing.T) {
 	}
 	if res.Degraded != nil && res.Degraded.Any() {
 		t.Fatalf("clean session reported degradation: %+v", res.Degraded)
+	}
+}
+
+// stalledSession is a session whose last event can never be applied:
+// thread 0 writes x = 9 with a clock naming a third thread-1 event that
+// is never sent. Under x < 5 that unapplied write is the only
+// violation. The Hello also binds the landing property's variables, so
+// the session is analyzable under FuzzObserverSession's property.
+func stalledSession() []byte {
+	write := func(thread int, value int64, clk ...uint64) event.Message {
+		return event.Message{
+			Event: event.Event{Thread: thread, Index: 1, Kind: event.Write, Var: "x", Value: value, Relevant: true},
+			Clock: clock.Of(clk...),
+		}
+	}
+	var buf bytes.Buffer
+	s := wire.NewSender(&buf)
+	initial := logic.StateFromMap(map[string]int64{"x": 0, "landing": 0, "approved": 0, "radio": 0})
+	s.SendHello(wire.Hello{Threads: 2, Initial: initial})
+	s.SendMessage(write(1, 1, 0, 1))
+	s.SendMessage(write(0, 9, 1, 3))
+	s.SendThreadDone(0)
+	s.SendThreadDone(1)
+	s.SendBye()
+	return buf.Bytes()
+}
+
+// TestStalledSessionIsNotConfident: a session with a delivered event
+// the analyzer can never apply fails a strict analysis and degrades a
+// lossy one as stalled; neither returns a confident clean verdict.
+func TestStalledSessionIsNotConfident(t *testing.T) {
+	raw := stalledSession()
+	prog := monitor.MustCompile(logic.MustParseFormula("x < 5"))
+	_, err := observer.Analyze(wire.NewReceiver(bytes.NewReader(raw)), prog, predict.Options{})
+	if err == nil || !strings.Contains(err.Error(), "analysis stalled with 1 of 2 events applied") {
+		t.Errorf("strict analysis: err = %v, want the stall", err)
+	}
+	res, err := observer.Analyze(wire.NewResyncReceiver(bytes.NewReader(raw)), prog, predict.Options{Lossy: true})
+	if err != nil {
+		t.Fatalf("lossy analysis: %v", err)
+	}
+	if got := res.Degraded.String(); got != "degraded: stalled" {
+		t.Errorf("lossy analysis: %s, want degraded: stalled", got)
 	}
 }
 

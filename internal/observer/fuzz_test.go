@@ -16,6 +16,9 @@ import (
 // a resync receiver into a lossy, budgeted AnalyzeSession, and through a
 // strict receiver into Analyze. Neither may panic, and both must
 // return; the budget keeps a fuzzer-built lattice from running long.
+// A lossy result that is neither degraded nor violated at the root
+// must have applied every message: one lattice level per message that
+// Drain reads from the same bytes.
 func FuzzObserverSession(f *testing.F) {
 	f.Add(streamSession(f, 1))
 	x := logic.StateFromMap(map[string]int64{"x": 0})
@@ -35,13 +38,24 @@ func FuzzObserverSession(f *testing.F) {
 		s.SendMessage(sampleMsg())
 		s.SendHello(wire.Hello{Threads: 1, Initial: x})
 	}))
+	f.Add(stalledSession())
 	prog := monitor.MustCompile(logic.MustParseFormula(progs.LandingProperty))
 	budget := predict.Options{MaxCuts: 512, MaxWidth: 32}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lossy := budget
 		lossy.Lossy = true
-		observer.AnalyzeSession([]*wire.Receiver{wire.NewResyncReceiver(bytes.NewReader(data))}, prog,
+		res, err := observer.AnalyzeSession([]*wire.Receiver{wire.NewResyncReceiver(bytes.NewReader(data))}, prog,
 			observer.SessionOptions{Predict: lossy})
 		observer.Analyze(wire.NewReceiver(bytes.NewReader(data)), prog, budget)
+		if err != nil || res.Degraded.Any() || res.Violated() && res.Violations[0].Level == 0 {
+			return
+		}
+		s, derr := observer.Drain(wire.NewResyncReceiver(bytes.NewReader(data)))
+		if derr != nil {
+			return
+		}
+		if applied := res.Stats.Levels - 1; applied != len(s.Messages) {
+			t.Fatalf("confident verdict applied %d of %d delivered messages", applied, len(s.Messages))
+		}
 	})
 }

@@ -59,23 +59,21 @@ func TestReserveLevelsPreservesPrefix(t *testing.T) {
 	}
 }
 
-// TestAnalyzePreallocatesLevelWidths: the offline explorers hint the
+// TestAnalyzePreallocatesLevelWidths: the offline explorer hints the
 // exact level count (total events + 1).
 func TestAnalyzePreallocatesLevelWidths(t *testing.T) {
 	comp, _ := gridComputation(t, 2, 4)
 	prog := monitor.MustCompile(logic.MustParseFormula("g0 < 100"))
-	for _, workers := range []int{0, 4} {
-		res, err := Analyze(prog, comp, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 2 threads × 4 events → 9 levels exactly.
-		if len(res.Stats.LevelWidths) != 9 {
-			t.Fatalf("workers=%d: %d levels, want 9", workers, len(res.Stats.LevelWidths))
-		}
-		if cap(res.Stats.LevelWidths) != 9 {
-			t.Errorf("workers=%d: LevelWidths cap %d, want exactly the hinted 9", workers, cap(res.Stats.LevelWidths))
-		}
+	res, err := Analyze(prog, comp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 threads × 4 events → 9 levels exactly.
+	if len(res.Stats.LevelWidths) != 9 {
+		t.Fatalf("%d levels, want 9", len(res.Stats.LevelWidths))
+	}
+	if cap(res.Stats.LevelWidths) != 9 {
+		t.Errorf("LevelWidths cap %d, want exactly the hinted 9", cap(res.Stats.LevelWidths))
 	}
 }
 
@@ -98,7 +96,7 @@ func TestOnlineAllocsWithinOffline(t *testing.T) {
 		}
 	})
 	online := testing.AllocsPerRun(5, func() {
-		on = runOnlineMode(t, prog, initial, 2, msgs, 0)
+		on = runOnlineMode(t, prog, initial, 2, msgs)
 	})
 	for _, res := range []Result{off, on} {
 		if res.Stats.Cuts != 9409 || len(res.Violations) != 2304 {

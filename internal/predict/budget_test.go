@@ -7,9 +7,9 @@ import (
 )
 
 // TestMaxWidthAbortsEveryExplorer: the width budget kills the offline
-// sequential, offline parallel and online explorers, and the failure
-// is classified as ErrBudget so a serving layer can report a budget
-// kill distinctly from a session inconsistency.
+// and online explorers, and the failure is classified as ErrBudget so
+// a serving layer can report a budget kill distinctly from a session
+// inconsistency.
 func TestMaxWidthAbortsEveryExplorer(t *testing.T) {
 	comp := crossingComputation(t)
 
@@ -24,14 +24,12 @@ func TestMaxWidthAbortsEveryExplorer(t *testing.T) {
 	}
 	budget := full.Stats.MaxWidth - 1
 
-	for _, workers := range []int{0, 4} {
-		res, err := Analyze(crossingProp, comp, Options{MaxWidth: budget, Workers: workers})
-		if !errors.Is(err, ErrBudget) {
-			t.Errorf("workers=%d: MaxWidth=%d returned err=%v, want ErrBudget", workers, budget, err)
-		}
-		if res.Stats.Cuts == 0 {
-			t.Errorf("workers=%d: budget kill discarded the partial result", workers)
-		}
+	res, err := Analyze(crossingProp, comp, Options{MaxWidth: budget})
+	if !errors.Is(err, ErrBudget) {
+		t.Errorf("MaxWidth=%d returned err=%v, want ErrBudget", budget, err)
+	}
+	if res.Stats.Cuts == 0 {
+		t.Errorf("budget kill discarded the partial result")
 	}
 
 	// Online: feed the same computation's messages in thread order.
@@ -63,11 +61,9 @@ feed:
 // under the same sentinel.
 func TestMaxCutsIsErrBudget(t *testing.T) {
 	comp := landingComputation(t)
-	for _, workers := range []int{0, 4} {
-		_, err := Analyze(landingProp, comp, Options{MaxCuts: 2, Workers: workers})
-		if !errors.Is(err, ErrBudget) {
-			t.Errorf("workers=%d: MaxCuts returned err=%v, want ErrBudget", workers, err)
-		}
+	_, err := Analyze(landingProp, comp, Options{MaxCuts: 2})
+	if !errors.Is(err, ErrBudget) {
+		t.Errorf("MaxCuts returned err=%v, want ErrBudget", err)
 	}
 }
 

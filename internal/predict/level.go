@@ -1,27 +1,18 @@
 package predict
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 
 	"gompax/internal/clock"
 	"gompax/internal/event"
-	"gompax/internal/lattice"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
 )
 
 // This file implements the level step both analyzers share.
 // Online.advance, the level driver that Analyze and Online both run,
-// calls expandLevel once per level.
-//
-// With one worker the step runs inline on the calling goroutine over a
-// plain map. With more, each level's frontier is split across a worker
-// pool that deduplicates successor cuts in a sharded cut table keyed by
-// the cut's clock (lattice.Sharded), so workers only contend when two
-// paths genuinely merge into the same cut — and even then only on that
-// cut's own mutex.
+// calls expandLevel once per level; the step runs inline on the
+// calling goroutine over a plain map keyed by the interned cut clock.
 //
 // Invariants (see DESIGN.md §8):
 //
@@ -32,22 +23,20 @@ import (
 //     paper's memory bound is preserved.
 //   - Set semantics: the set of cuts per level, the set of monitor
 //     states per cut, and the set of violating cuts are pure functions
-//     of the computation and formula, so they are identical however
-//     parents are scheduled across workers.
+//     of the computation and formula, so they are identical whatever
+//     order the events were delivered in.
 //   - Deterministic reports: every representative path (one per
 //     monitor state of a cut, one per violating cut) is the
 //     canonically least candidate, and the sealed level is sorted by
-//     cut clock, so the output is identical for every worker count.
+//     cut clock, so the output does not depend on the order parents
+//     are expanded in.
 
 // pentry is one frontier cut: its per-thread event counts, the global
 // state there, and the monitor states reachable at it, each with one
-// representative path (nil unless counterexamples are tracked). The
-// mutex serializes merges by pool workers; the inline step never
-// locks it.
+// representative path (nil unless counterexamples are tracked).
 type pentry struct {
 	counts clock.Ref
 	state  logic.State
-	mu     sync.Mutex
 	keys   map[uint64][]int
 	// viol is non-nil at a cut where some monitor state steps to
 	// Violated: the cut is the violation's identity.
@@ -73,40 +62,11 @@ type levelOut struct {
 	violated  int       // violating pairs stepped (a cut may count several)
 }
 
-// normalizeWorkers maps the Options.Workers knob to a pool size:
-// 0 and 1 select the inline step, n>1 selects n workers, and a
-// negative value selects GOMAXPROCS.
-func normalizeWorkers(w int) int {
-	if w < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
 // expandLevel seals the level after the frontier: every entry's
 // successors are interned, monitor states stepped and merged, and
 // violating cuts marked. It returns only after every successor is done
 // (the level barrier), with the new frontier sorted by cut clock.
 func (o *Online) expandLevel() (levelOut, error) {
-	var out levelOut
-	var err error
-	if workers := min(o.opts.Workers, len(o.frontier)); workers <= 1 {
-		out, err = o.expandInline()
-	} else {
-		out, err = o.expandPool(workers)
-	}
-	if err != nil {
-		return out, err
-	}
-	slices.SortFunc(out.next, func(a, b *pentry) int { return clock.Compare(a.counts, b.counts) })
-	for _, e := range out.next {
-		out.pairWidth += len(e.keys)
-	}
-	return out, nil
-}
-
-// expandInline is the level step on the calling goroutine.
-func (o *Online) expandInline() (levelOut, error) {
 	var out levelOut
 	var err error
 	next := make(map[clock.Ref]*pentry, len(o.frontier))
@@ -122,7 +82,7 @@ func (o *Online) expandInline() (levelOut, error) {
 				next[counts] = tgt
 				out.newCuts++
 			}
-			err = out.step(o.scratch, ent, tgt, pathID(thread, index), o.opts.Counterexamples, false)
+			err = out.step(o.scratch, ent, tgt, pathID(thread, index), o.opts.Counterexamples)
 		})
 		if err != nil {
 			return out, err
@@ -131,62 +91,9 @@ func (o *Online) expandInline() (levelOut, error) {
 	out.next = make([]*pentry, 0, len(next))
 	for _, e := range next {
 		out.next = append(out.next, e)
+		out.pairWidth += len(e.keys)
 	}
-	return out, nil
-}
-
-// expandPool is the level step on a pool of workers claiming parent
-// entries round-robin.
-func (o *Online) expandPool(workers int) (levelOut, error) {
-	entries := o.frontier
-	table := lattice.NewSharded[clock.Ref, *pentry](workers * 8)
-	// Live queue depth: parents not yet claimed in the level being
-	// expanded. One atomic add per parent entry, not per edge.
-	mWorkerQueue.Set(int64(len(entries)))
-	defer mWorkerQueue.Set(0)
-
-	outs := make([]levelOut, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := o.prog.NewMonitor()
-			out := &outs[w]
-			for idx := w; idx < len(entries) && errs[w] == nil; idx += workers {
-				mWorkerQueue.Add(-1)
-				ent := entries[idx]
-				o.expandSuccessors(ent, func(thread, index int, counts clock.Ref, m *event.Message) {
-					if errs[w] != nil {
-						return
-					}
-					out.edges++
-					tgt, created := table.GetOrCreate(counts.Digest(), counts, func() *pentry {
-						return newEntry(counts, applyMessage(ent.state, *m))
-					})
-					if created {
-						out.newCuts++
-					}
-					errs[w] = out.step(scratch, ent, tgt, pathID(thread, index), o.opts.Counterexamples, true)
-				})
-			}
-		}()
-	}
-	wg.Wait()
-
-	var out levelOut
-	for w := range outs {
-		if errs[w] != nil {
-			return out, errs[w]
-		}
-		out.newCuts += outs[w].newCuts
-		out.pairs += outs[w].pairs
-		out.edges += outs[w].edges
-		out.violated += outs[w].violated
-	}
-	out.next = make([]*pentry, 0, out.newCuts)
-	table.Range(func(_ clock.Ref, e *pentry) { out.next = append(out.next, e) })
+	slices.SortFunc(out.next, func(a, b *pentry) int { return clock.Compare(a.counts, b.counts) })
 	return out, nil
 }
 
@@ -199,11 +106,8 @@ func newEntry(counts clock.Ref, state logic.State) *pentry {
 // tgt as a violating cut and is not propagated (every extension of a
 // violating run prefix is already reported at its shortest witness).
 // Both keep the canonically least representative, so the result does
-// not depend on the order parents are expanded in. Pool workers pass
-// locked: other workers may merge into tgt concurrently, so each merge
-// holds tgt.mu. The parent's key set was sealed at the previous
-// barrier and is read lock-free.
-func (out *levelOut) step(scratch *monitor.Monitor, ent, tgt *pentry, edge int, paths, locked bool) error {
+// not depend on the order parents are expanded in.
+func (out *levelOut) step(scratch *monitor.Monitor, ent, tgt *pentry, edge int, paths bool) error {
 	for mkey, path := range ent.keys {
 		scratch.Restore(mkey)
 		// A pointer Env: stepping a State value would box a copy per
@@ -217,14 +121,7 @@ func (out *levelOut) step(scratch *monitor.Monitor, ent, tgt *pentry, edge int, 
 		if violated {
 			out.violated++
 		}
-		p := extendPath(paths, path, edge)
-		if locked {
-			tgt.mu.Lock()
-		}
-		tgt.merge(violated, mkey, scratch.Key(), p, paths)
-		if locked {
-			tgt.mu.Unlock()
-		}
+		tgt.merge(violated, mkey, scratch.Key(), extendPath(paths, path, edge), paths)
 	}
 	return nil
 }

@@ -41,7 +41,7 @@ func renderResult(res Result) string {
 
 // gridComputation builds a computation of `threads` fully independent
 // threads with `perThread` writes each: a dense width^threads lattice
-// that actually exercises the worker pool.
+// whose levels merge many paths into each cut.
 func gridComputation(t *testing.T, threads, perThread int) (*lattice.Computation, logic.State) {
 	t.Helper()
 	im := map[string]int64{}
@@ -67,11 +67,8 @@ func gridComputation(t *testing.T, threads, perThread int) (*lattice.Computation
 	return comp, initial
 }
 
-var workerCounts = []int{2, 3, 8, -1}
-
-// TestParallelMatchesSequentialOffline: for every fixture and worker
-// count, the parallel Analyze reports byte-identical violations,
-// counterexamples and statistics to the sequential one.
+// TestParallelMatchesSequentialOffline: every counterexample Analyze
+// reports, on every fixture, is a genuine violating run.
 func TestParallelMatchesSequentialOffline(t *testing.T) {
 	t.Parallel()
 	grid, _ := gridComputation(t, 3, 3)
@@ -87,24 +84,13 @@ func TestParallelMatchesSequentialOffline(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, cex := range []bool{false, true} {
-			seq, err := Analyze(tc.prog, tc.comp, Options{Counterexamples: cex})
+			res, err := Analyze(tc.prog, tc.comp, Options{Counterexamples: cex})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := renderResult(seq)
-			for _, w := range workerCounts {
-				par, err := Analyze(tc.prog, tc.comp, Options{Counterexamples: cex, Workers: w})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", tc.name, w, err)
-				}
-				if got := renderResult(par); got != want {
-					t.Errorf("%s workers=%d cex=%v mismatch:\n--- sequential ---\n%s--- parallel ---\n%s",
-						tc.name, w, cex, want, got)
-				}
-			}
 			// Counterexample runs must be genuine violating runs.
 			if cex {
-				for _, v := range seq.Violations {
+				for _, v := range res.Violations {
 					idx, err := monitor.CheckTrace(tc.prog, v.Run.States)
 					if err != nil {
 						t.Fatal(err)
@@ -118,35 +104,8 @@ func TestParallelMatchesSequentialOffline(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism: the parallel explorer is byte-identical run
-// to run, whatever the goroutine schedule did.
-func TestParallelDeterminism(t *testing.T) {
-	t.Parallel()
-	comp, _ := gridComputation(t, 3, 3)
-	prog := monitor.MustCompile(logic.MustParseFormula("start(g0 = 3) -> [g1 = 2, g2 = 3)"))
-	var first string
-	for i := 0; i < 5; i++ {
-		res, err := Analyze(prog, comp, Options{Counterexamples: true, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := renderResult(res)
-		if i == 0 {
-			first = got
-			if !res.Violated() {
-				t.Fatal("fixture no longer violates; pick a violating formula")
-			}
-			continue
-		}
-		if got != first {
-			t.Fatalf("run %d differs:\n--- first ---\n%s--- now ---\n%s", i, first, got)
-		}
-	}
-}
-
-// TestParallelOnlineMatchesSequential: the online analyzer with a
-// worker pool agrees with the sequential online analyzer and with
-// offline Analyze, under scrambled delivery orders.
+// TestParallelOnlineMatchesSequential: the online analyzer agrees with
+// offline Analyze under scrambled delivery orders.
 func TestParallelOnlineMatchesSequential(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(99))
@@ -177,16 +136,14 @@ func TestParallelOnlineMatchesSequential(t *testing.T) {
 
 		shuffled := append([]event.Message(nil), msgs...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		for _, w := range []int{0, 3} {
-			o, err := NewOnline(prog, initial, threads, Options{Counterexamples: true, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := feedAll(t, o, shuffled, threads)
-			if got := renderResult(res); got != want {
-				t.Fatalf("iter %d (formula %q) workers=%d:\n--- offline ---\n%s--- online ---\n%s",
-					iter, f, w, want, got)
-			}
+		o, err := NewOnline(prog, initial, threads, Options{Counterexamples: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := feedAll(t, o, shuffled, threads)
+		if got := renderResult(res); got != want {
+			t.Fatalf("iter %d (formula %q):\n--- offline ---\n%s--- online ---\n%s",
+				iter, f, want, got)
 		}
 		checked++
 	}
@@ -196,8 +153,7 @@ func TestParallelOnlineMatchesSequential(t *testing.T) {
 }
 
 // TestParallelFirstOnly: FirstOnly reports the same single canonical
-// violation, and stops at the same level, in every explorer mode —
-// offline and online, inline and on a worker pool.
+// violation, and stops at the same level, offline and online.
 func TestParallelFirstOnly(t *testing.T) {
 	t.Parallel()
 	pulses, pulseInit := pulseMessages(2, 3)
@@ -229,40 +185,18 @@ func TestParallelFirstOnly(t *testing.T) {
 			t.Fatalf("%s: sequential FirstOnly reported %d violations", tc.name, len(seq.Violations))
 		}
 		want := renderResult(seq)
-		for _, w := range append([]int{0}, workerCounts...) {
-			par, err := Analyze(tc.prog, comp, Options{FirstOnly: true, Counterexamples: true, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := renderResult(par); got != want {
-				t.Errorf("%s: offline workers=%d FirstOnly differs:\n%s\nvs\n%s", tc.name, w, got, want)
-			}
-			o, err := NewOnline(tc.prog, tc.initial, 2, Options{FirstOnly: true, Counterexamples: true, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := renderResult(feedAll(t, o, tc.msgs, 2)); got != want {
-				t.Errorf("%s: online workers=%d FirstOnly differs:\n%s\nvs\n%s", tc.name, w, got, want)
-			}
+		o, err := NewOnline(tc.prog, tc.initial, 2, Options{FirstOnly: true, Counterexamples: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestParallelMaxCuts: the cut bound aborts the parallel explorer too.
-// The bound is checked at the level barrier, so the error fires at the
-// same level as in the sequential explorer.
-func TestParallelMaxCuts(t *testing.T) {
-	t.Parallel()
-	comp := landingComputation(t)
-	for _, w := range workerCounts {
-		if _, err := Analyze(landingProp, comp, Options{MaxCuts: 2, Workers: w}); err == nil {
-			t.Errorf("workers=%d: expected MaxCuts error", w)
+		if got := renderResult(feedAll(t, o, tc.msgs, 2)); got != want {
+			t.Errorf("%s: online FirstOnly differs:\n%s\nvs\n%s", tc.name, got, want)
 		}
 	}
 }
 
 // TestLevelWidthsMatchLattice: Stats.LevelWidths equals the
-// materialized lattice's per-level node counts, in every explorer.
+// materialized lattice's per-level node counts.
 func TestLevelWidthsMatchLattice(t *testing.T) {
 	t.Parallel()
 	comp, _ := gridComputation(t, 3, 2)
@@ -275,36 +209,17 @@ func TestLevelWidthsMatchLattice(t *testing.T) {
 	for k := 0; k <= comp.Total(); k++ {
 		want = append(want, len(l.Level(k)))
 	}
-	for _, w := range []int{0, 4} {
-		res, err := Analyze(prog, comp, Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Stats.LevelWidths, want) {
-			t.Errorf("workers=%d LevelWidths %v, lattice %v", w, res.Stats.LevelWidths, want)
-		}
-		if res.Stats.Cuts != l.NumNodes() {
-			t.Errorf("workers=%d Cuts %d, lattice nodes %d", w, res.Stats.Cuts, l.NumNodes())
-		}
-		if res.Stats.MaxWidth != l.Width() {
-			t.Errorf("workers=%d MaxWidth %d, lattice width %d", w, res.Stats.MaxWidth, l.Width())
-		}
+	res, err := Analyze(prog, comp, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestNormalizeWorkers pins the knob semantics Options documents.
-func TestNormalizeWorkers(t *testing.T) {
-	t.Parallel()
-	if got := normalizeWorkers(0); got != 0 {
-		t.Errorf("normalizeWorkers(0) = %d", got)
+	if !reflect.DeepEqual(res.Stats.LevelWidths, want) {
+		t.Errorf("LevelWidths %v, lattice %v", res.Stats.LevelWidths, want)
 	}
-	if got := normalizeWorkers(1); got != 1 {
-		t.Errorf("normalizeWorkers(1) = %d", got)
+	if res.Stats.Cuts != l.NumNodes() {
+		t.Errorf("Cuts %d, lattice nodes %d", res.Stats.Cuts, l.NumNodes())
 	}
-	if got := normalizeWorkers(7); got != 7 {
-		t.Errorf("normalizeWorkers(7) = %d", got)
-	}
-	if got := normalizeWorkers(-1); got < 1 {
-		t.Errorf("normalizeWorkers(-1) = %d", got)
+	if res.Stats.MaxWidth != l.Width() {
+		t.Errorf("MaxWidth %d, lattice width %d", res.Stats.MaxWidth, l.Width())
 	}
 }

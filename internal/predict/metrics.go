@@ -30,21 +30,11 @@ var (
 		"(cut, monitor state) pairs alive on the most recently sealed level.")
 	mMaxWidth = telemetry.Default().NewGauge("gompax_lattice_max_width",
 		"High-water mark of cuts alive on one level (process lifetime).")
-	mWorkerQueue = telemetry.Default().NewGauge("gompax_predict_worker_queue",
-		"Frontier entries not yet claimed by the worker pool in the level being expanded.")
 	mAnalyses = telemetry.Default().NewCounterVec("gompax_predict_analyses_total",
-		"Predictive analyses started.", "mode", "explorer")
+		"Predictive analyses started.", "mode")
 	mDegraded = telemetry.Default().NewCounter("gompax_predict_degraded_total",
 		"Analyses that finished with a degradation report.")
 )
-
-// explorerLabel maps a normalized worker count to the explorer label.
-func explorerLabel(workers int) string {
-	if workers > 1 {
-		return "parallel"
-	}
-	return "sequential"
-}
 
 // flushRootTelemetry records the root level (one cut, one stepped
 // pair) when an analysis starts.

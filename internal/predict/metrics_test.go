@@ -14,8 +14,8 @@ import (
 )
 
 // counterTotals snapshots the lattice counters whose totals must be a
-// pure function of (computation, formula) — identical however the
-// exploration is scheduled.
+// pure function of (computation, formula) — identical in both
+// analyzers.
 type counterTotals struct {
 	cuts, pairs, edges, dedup, levels, viols uint64
 }
@@ -89,9 +89,9 @@ func pulseMessages(threads, pulses int) ([]event.Message, logic.State) {
 
 // runOnlineMode drives the online analyzer over msgs in delivery order
 // and returns its final result.
-func runOnlineMode(t *testing.T, prog *monitor.Program, initial logic.State, threads int, msgs []event.Message, workers int) Result {
+func runOnlineMode(t *testing.T, prog *monitor.Program, initial logic.State, threads int, msgs []event.Message) Result {
 	t.Helper()
-	o, err := NewOnline(prog, initial, threads, Options{Workers: workers})
+	o, err := NewOnline(prog, initial, threads, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +112,15 @@ func runOnlineMode(t *testing.T, prog *monitor.Program, initial logic.State, thr
 	return res
 }
 
-// TestCounterTotalsIdenticalAcrossModes: all four explorer modes
-// (offline/online × sequential/parallel) must flush identical counter
-// totals for the same trace — cuts, pairs, edges, dedup hits, levels
-// and violating pairs are properties of the computation, not of the
-// schedule — and report the same violations and statistics. Violations
-// are identified by their cut: on the pulse fixture two monitor states
-// violate at every cut where both flags are up, and each such cut is
-// still reported once. Deliberately not parallel: it reads deltas of
-// the process-wide counters, and Go runs non-parallel tests
-// exclusively.
+// TestCounterTotalsIdenticalAcrossModes: both explorer modes (offline
+// and online) must flush identical counter totals for the same trace —
+// cuts, pairs, edges, dedup hits, levels and violating pairs are
+// properties of the computation, not of the delivery order — and
+// report the same violations and statistics. Violations are identified
+// by their cut: on the pulse fixture two monitor states violate at
+// every cut where both flags are up, and each such cut is still
+// reported once. Deliberately not parallel: it reads deltas of the
+// process-wide counters, and Go runs non-parallel tests exclusively.
 func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 	type fixture struct {
 		name    string
@@ -185,25 +184,15 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 			}
 		}
 
-		runMode("offline/sequential", func() Result {
+		runMode("offline", func() Result {
 			res, err := Analyze(fx.prog, comp, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		})
-		runMode("offline/parallel", func() Result {
-			res, err := Analyze(fx.prog, comp, Options{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		})
-		runMode("online/sequential", func() Result {
-			return runOnlineMode(t, fx.prog, fx.initial, fx.threads, fx.msgs, 0)
-		})
-		runMode("online/parallel", func() Result {
-			return runOnlineMode(t, fx.prog, fx.initial, fx.threads, fx.msgs, 4)
+		runMode("online", func() Result {
+			return runOnlineMode(t, fx.prog, fx.initial, fx.threads, fx.msgs)
 		})
 
 		if fx.name == "crossing" && baseline.viols == 0 {
@@ -213,16 +202,14 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 }
 
 // TestModeCountersLabelled: each explorer mode increments its own
-// (mode, explorer) series of gompax_predict_analyses_total.
+// mode series of gompax_predict_analyses_total.
 func TestModeCountersLabelled(t *testing.T) {
 	comp, _ := gridComputation(t, 2, 2)
 	prog := monitor.MustCompile(logic.MustParseFormula("g0 >= 0"))
 
 	series := map[string]*telemetry.Counter{}
 	for _, mode := range []string{"offline", "online"} {
-		for _, explorer := range []string{"sequential", "parallel"} {
-			series[mode+"/"+explorer] = mAnalyses.With(mode, explorer)
-		}
+		series[mode] = mAnalyses.With(mode)
 	}
 	before := map[string]uint64{}
 	for k, c := range series {
@@ -232,12 +219,8 @@ func TestModeCountersLabelled(t *testing.T) {
 	if _, err := Analyze(prog, comp, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(prog, comp, Options{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
 	msgs, ginit := gridMessages(2, 2)
-	runOnlineMode(t, prog, ginit, 2, msgs, 0)
-	runOnlineMode(t, prog, ginit, 2, msgs, 2)
+	runOnlineMode(t, prog, ginit, 2, msgs)
 
 	for k, c := range series {
 		if got := c.Value() - before[k]; got != 1 {

@@ -27,7 +27,7 @@ type Online struct {
 	prog    *monitor.Program
 	initial logic.State
 	threads int
-	opts    Options // Workers normalized (see normalizeWorkers)
+	opts    Options
 
 	events    [][]event.Message          // contiguous prefixes per thread
 	pending   []map[uint64]event.Message // buffered out-of-order messages
@@ -66,7 +66,6 @@ func NewOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 // mode labels the analyses counter, table interns the cut clocks, and
 // levels is the LevelWidths capacity to reserve.
 func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Options, mode string, table *clock.Table, levels int) (*Online, error) {
-	opts.Workers = normalizeWorkers(opts.Workers)
 	o := &Online{
 		prog:      prog,
 		initial:   initial,
@@ -82,7 +81,7 @@ func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 	for i := range o.pending {
 		o.pending[i] = map[uint64]event.Message{}
 	}
-	mAnalyses.With(mode, explorerLabel(opts.Workers)).Inc()
+	mAnalyses.With(mode).Inc()
 	m := prog.NewMonitor()
 	verdict, err := m.Step(initial)
 	if err != nil {
@@ -227,13 +226,11 @@ func (o *Online) Close() (res Result, err error) {
 	if err := o.advance(); err != nil {
 		return o.result, err
 	}
-	total := 0
-	for i := range o.events {
-		total += len(o.events[i])
-	}
-	if o.applied < total && len(o.frontier) > 0 {
+	// advance retires the frontier only once every delivered event is
+	// applied, so a live frontier here means some never can be.
+	if len(o.frontier) > 0 {
 		if !o.opts.Lossy {
-			return o.result, fmt.Errorf("predict: analysis stalled with %d of %d events applied", o.applied, total)
+			return o.result, fmt.Errorf("predict: analysis stalled with %d of %d events applied", o.applied, o.delivered())
 		}
 		o.result.Degrade().Stalled = true
 	}
@@ -320,8 +317,10 @@ func (o *Online) advance() error {
 		}
 		if len(out.next) == 0 {
 			// Frontier entries have no available successors at all:
-			// analysis of delivered events is complete.
-			if o.allFinal() {
+			// analysis of delivered events is complete, unless some
+			// delivered event can never be applied (Close reports the
+			// stall).
+			if o.allFinal() && o.applied == o.delivered() {
 				o.frontier = nil
 			}
 			return nil
@@ -376,8 +375,6 @@ func (o *Online) report(level []*pentry) bool {
 // For each it yields the advancing thread, the 1-based index of the
 // applied event within that thread, the successor's counts (interned
 // in o.table, so Refs compare by identity) and the applied message.
-// Pool workers call it concurrently with distinct entries: the event
-// buffers are not mutated during a level.
 func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, counts clock.Ref, m *event.Message)) {
 	for i := 0; i < o.threads; i++ {
 		need := int(ent.counts.Get(i)) + 1
@@ -390,6 +387,15 @@ func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, cou
 		}
 		yield(i, need, o.table.Tick(ent.counts, i), m)
 	}
+}
+
+// delivered counts the events buffered in per-thread order.
+func (o *Online) delivered() int {
+	n := 0
+	for i := range o.events {
+		n += len(o.events[i])
+	}
+	return n
 }
 
 func (o *Online) allFinal() bool {

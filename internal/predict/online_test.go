@@ -208,6 +208,50 @@ func TestOnlineErrors(t *testing.T) {
 	}
 }
 
+// TestOnlineStallIsReported: a delivered event whose clock names an
+// event that never arrives can never be applied. With every thread
+// done, strict Close reports the stall as an error and lossy Close as
+// Degraded.Stalled, instead of a confident verdict that never looked
+// at the event (here the x = 9 write that violates x < 5).
+func TestOnlineStallIsReported(t *testing.T) {
+	t.Parallel()
+	initial := logic.StateFromMap(map[string]int64{"x": 0})
+	prog := monitor.MustCompile(logic.MustParseFormula("x < 5"))
+	msgs := []event.Message{
+		msg(1, "x", 1, 0, 1),
+		msg(0, "x", 9, 1, 3), // needs thread 1's third event, never sent
+	}
+	for _, lossy := range []bool{false, true} {
+		o, err := NewOnline(prog, initial, 2, Options{Lossy: lossy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if err := o.Feed(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if err := o.FinishThread(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := o.Close()
+		if !lossy {
+			if want := "predict: analysis stalled with 1 of 2 events applied"; err == nil || err.Error() != want {
+				t.Errorf("strict Close: err = %v, want %q", err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("lossy Close: %v", err)
+		}
+		if res.Degraded == nil || !res.Degraded.Stalled {
+			t.Errorf("lossy Close: %s, want stalled", res.Degraded)
+		}
+	}
+}
+
 func TestOnlineFeedAfterClose(t *testing.T) {
 	t.Parallel()
 	initial := logic.StateFromMap(map[string]int64{"a": 0})

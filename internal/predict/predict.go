@@ -12,7 +12,7 @@
 //
 // The memory-bounded level-by-level analysis described above is the
 // production path, with two entry points over one level driver and one
-// level step (parallel.go):
+// level step (level.go):
 //
 //   - Online: the paper's incremental observer — messages arrive in
 //     any order, and each level is analyzed as soon as the events it
@@ -20,10 +20,9 @@
 //   - Analyze: the same analysis of a fully reconstructed computation,
 //     run as an online session whose threads have all finished.
 //
-// Either one steps the level inline or on a worker pool
-// (Options.Workers); all four modes produce identical results. A
-// violation is identified by its cut: each reachable cut at which some
-// run violates the formula is reported once.
+// Both produce identical results. A violation is identified by its
+// cut: each reachable cut at which some run violates the formula is
+// reported once.
 //
 // EnumerateRuns materializes the lattice and checks every run
 // separately — exponential, but exact run-level statistics for
@@ -78,14 +77,6 @@ type Options struct {
 	// reporting what was lost in Result.Degraded, rather than
 	// returning an error. Only Online honors this flag.
 	Lossy bool
-	// Workers sizes the worker pool of the level step: 0 (the default)
-	// and 1 step each level inline on the calling goroutine; n > 1
-	// splits each level's frontier across n workers; a negative value
-	// selects GOMAXPROCS. Both Analyze and Online honor it. The
-	// explored cut sets, statistics and violations are identical for
-	// every value (violations are reported in canonical per-level cut
-	// order).
-	Workers int
 	// Progress, when non-nil, receives an atomic per-level snapshot of
 	// the running analysis (level, frontier width, totals, last-advance
 	// time; see Progress). A serving layer polls it for live session
@@ -167,7 +158,7 @@ func (s *Stats) addLevel(width, pairWidth int) {
 // checkBudget enforces the per-analysis budget after a level seal:
 // width is the number of distinct cuts on the level just sealed. The
 // level driver calls it at the level barrier, so a budget kill happens
-// at the same level in every explorer mode.
+// at the same level in both analyzers.
 func checkBudget(opts Options, stats *Stats, width int) error {
 	if opts.MaxCuts > 0 && stats.Cuts > opts.MaxCuts {
 		return fmt.Errorf("predict: %w: explored %d cuts (MaxCuts=%d)", ErrBudget, stats.Cuts, opts.MaxCuts)
@@ -244,8 +235,8 @@ type Degraded struct {
 	// MissingBye is set when the session ended without a Bye frame
 	// (the stream tore before the sender closed).
 	MissingBye bool
-	// Stalled is set when delivered events could not all be applied
-	// (an internal inconsistency, distinct from plain loss).
+	// Stalled is set when delivered events could not all be applied:
+	// their clocks name events that never arrived.
 	Stalled bool
 	// StalledChannels counts wire channels abandoned because they hit
 	// the observer's idle timeout.
@@ -314,8 +305,7 @@ func (d *Degraded) String() string {
 // in prog over the computation comp. It is the online analysis of a
 // fully delivered session: the computation's per-thread messages are
 // loaded up front, every thread is final, and the level driver runs to
-// completion (with Options.Workers > 1 on a worker pool; the explored
-// cuts, statistics and violations are the same either way).
+// completion.
 func Analyze(prog *monitor.Program, comp *lattice.Computation, opts Options) (Result, error) {
 	o, err := newOnline(prog, comp.Initial(), comp.Threads(), opts, "offline", comp.Table(), totalLevels(comp))
 	if err != nil {

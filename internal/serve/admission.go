@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -26,14 +27,15 @@ type TenantLimits struct {
 // gating arrivals, a FIFO of admitted-but-unscheduled connections, and
 // the smooth-weighted-round-robin state used to pick the next tenant.
 type tenantState struct {
-	name     string
-	limits   TenantLimits
-	weight   int // WRR share: max(1, int(Rate)), so paying tenants get more slots
-	current  int // smooth WRR accumulator
-	tokens   float64
-	last     time.Time
-	queue    []*pending
-	inflight int
+	name       string
+	configured bool // listed in Config.Tenants: kept for the daemon's lifetime
+	limits     TenantLimits
+	weight     int // WRR share: max(1, int(Rate)), so paying tenants get more slots
+	current    int // smooth WRR accumulator
+	tokens     float64
+	last       time.Time
+	queue      []*pending
+	inflight   int
 }
 
 func (ts *tenantState) burst() float64 {
@@ -79,7 +81,7 @@ func (a *admitter) getTenant(name string, l *TenantLimits) *tenantState {
 	if ts := a.tenants[name]; ts != nil {
 		return ts
 	}
-	ts := &tenantState{name: name, last: a.now()}
+	ts := &tenantState{name: name, configured: l != nil, last: a.now()}
 	if l != nil {
 		ts.limits = *l
 	}
@@ -162,6 +164,7 @@ func (a *admitter) next() *pending {
 			eligible = append(eligible, ts)
 			total += ts.weight
 		}
+		a.forgetIdle()
 		if len(eligible) > 0 {
 			var best *tenantState
 			for _, ts := range eligible {
@@ -197,8 +200,23 @@ func (a *admitter) next() *pending {
 func (a *admitter) release(ts *tenantState) {
 	a.mu.Lock()
 	ts.inflight--
+	a.forgetIdle()
 	a.mu.Unlock()
 	a.cond.Broadcast()
+}
+
+// forgetIdle drops the state of every unconfigured tenant with nothing
+// queued or in flight, so the admitter holds the configured tenants
+// plus those with live sessions, however many names clients send. A
+// returning tenant starts afresh. Caller holds mu.
+func (a *admitter) forgetIdle() {
+	a.order = slices.DeleteFunc(a.order, func(ts *tenantState) bool {
+		if ts.configured || len(ts.queue) > 0 || ts.inflight > 0 {
+			return false
+		}
+		delete(a.tenants, ts.name)
+		return true
+	})
 }
 
 // close stops admission and returns every still-queued connection so

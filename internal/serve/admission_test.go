@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"fmt"
+	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gompax/internal/telemetry"
 )
 
 // testPending builds a queueable pending with an inert timeout timer.
@@ -162,6 +166,73 @@ func TestAdmitterInflightCap(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("release did not unblock next()")
+	}
+}
+
+// TestAdmitterForgetsIdleTenants: an unconfigured tenant's state lives
+// only while it has a session queued or in flight, so a stream of
+// made-up tenant names cannot grow the admitter or its next() scan.
+func TestAdmitterForgetsIdleTenants(t *testing.T) {
+	a, _ := newTestAdmitter(map[string]TenantLimits{"gold": {Rate: 3, Burst: 100}}, 16)
+	if reason, _ := a.offer(testPending("walk-in")); reason != "" {
+		t.Fatal(reason)
+	}
+	p := a.next()
+	if a.tenants["walk-in"] == nil {
+		t.Fatal("tenant with a session in flight was forgotten")
+	}
+	a.release(p.ts)
+	for i := 0; i < 10000; i++ {
+		if reason, _ := a.offer(testPending(fmt.Sprintf("made-up-%d", i))); reason != "" {
+			t.Fatalf("cycle %d: %s", i, reason)
+		}
+		p := a.next()
+		if p == nil {
+			t.Fatalf("cycle %d: next() = nil", i)
+		}
+		a.release(p.ts)
+	}
+	if len(a.tenants) != 1 || a.tenants["gold"] == nil || len(a.order) != 1 || a.order[0].name != "gold" {
+		t.Fatalf("admitter holds %d tenants, %d in WRR order; want only the configured gold", len(a.tenants), len(a.order))
+	}
+}
+
+// tenantLabels returns the tenant label values of one metric family in
+// the process-wide registry.
+func tenantLabels(family string) map[string]bool {
+	re := regexp.MustCompile(`(?m)^` + family + `(?:_bucket|_count|_sum)?\{[^}]*tenant="([^"]*)"`)
+	set := map[string]bool{}
+	for _, m := range re.FindAllStringSubmatch(telemetry.Default().Expose(), -1) {
+		set[m[1]] = true
+	}
+	return set
+}
+
+// TestTenantMetricLabelsBounded: sessions and rejects under made-up
+// tenant names add at most the "other" label value to the per-tenant
+// metric families, however many names clients send.
+func TestTenantMetricLabelsBounded(t *testing.T) {
+	const wait, rejects = "gompaxd_admission_wait_nanoseconds", "gompaxd_admission_rejects_total"
+	waitBefore, rejectsBefore := tenantLabels(wait), tenantLabels(rejects)
+	_, addr := newTestDaemon(t, Config{IdleTimeout: 20 * time.Second})
+	blob := crossingBlob(t, cleanProp, 1)
+	for i := 0; i < 200; i++ {
+		if v, _, err := runTenantSession(addr, "clean", fmt.Sprintf("made-up-%d", i), blob); err != nil || v.Verdict != VerdictOK {
+			t.Fatalf("session %d: verdict %+v, err %v", i, v, err)
+		}
+	}
+	if _, _, err := runTenantSession(addr, "no-such-spec", "made-up-reject", blob); err == nil {
+		t.Fatal("unknown spec admitted")
+	}
+	for family, before := range map[string]map[string]bool{wait: waitBefore, rejects: rejectsBefore} {
+		for label := range tenantLabels(family) {
+			if !before[label] && label != "other" {
+				t.Errorf("%s gained tenant label %q", family, label)
+			}
+		}
+	}
+	if !tenantLabels(wait)["other"] {
+		t.Errorf("%s has no other series after 200 sessions", wait)
 	}
 }
 

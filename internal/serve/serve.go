@@ -83,16 +83,14 @@ type Config struct {
 	// admission queue before being rejected. Default 10s.
 	QueueTimeout time.Duration
 	// Tenants maps tenant names to admission quotas. Tenants not
-	// listed here (including "default") are unlimited.
+	// listed here (including "default") are unlimited; their admission
+	// state lives only while they have sessions queued or in flight,
+	// and per-tenant metrics label them "other" (except "default").
 	Tenants map[string]TenantLimits
 	// MaxCuts and MaxWidth are the per-session analysis budget
 	// (predict.Options); 0 = unlimited.
 	MaxCuts  int
 	MaxWidth int
-	// Workers is the per-session lattice exploration pool size
-	// (predict.Options.Workers). Sessions already run concurrently, so
-	// the default 0 (sequential per session) is usually right.
-	Workers int
 	// IdleTimeout abandons a session whose transport goes silent.
 	// Default 30s.
 	IdleTimeout time.Duration
@@ -380,7 +378,7 @@ func (d *Daemon) reject(conn net.Conn, reason, tenant string, retryAfter time.Du
 		tenant = "default"
 	}
 	mRejected.With(reason).Inc()
-	mRejectedTenant.With(reason, tenant).Inc()
+	mRejectedTenant.With(reason, d.tenantLabel(tenant)).Inc()
 	d.rejMu.Lock()
 	d.rejects[reason]++
 	d.rejMu.Unlock()
@@ -392,6 +390,16 @@ func (d *Daemon) reject(conn net.Conn, reason, tenant string, retryAfter time.Du
 		fmt.Fprintf(conn, "REJECT reason=%s\n", reason)
 	}
 	conn.Close()
+}
+
+// tenantLabel is a tenant's metric label: its name when configured or
+// "default", and "other" for every name a client made up, so clients
+// cannot grow the label set.
+func (d *Daemon) tenantLabel(tenant string) string {
+	if _, ok := d.cfg.Tenants[tenant]; ok || tenant == "default" {
+		return tenant
+	}
+	return "other"
 }
 
 func remoteOf(conn net.Conn) string {
@@ -408,7 +416,7 @@ func (d *Daemon) worker() {
 		if p == nil {
 			return // admitter closed and drained
 		}
-		mAdmissionWait.With(p.tenant).Observe(uint64(time.Since(p.enq)))
+		mAdmissionWait.With(d.tenantLabel(p.tenant)).Observe(uint64(time.Since(p.enq)))
 		d.handle(p)
 		d.adm.release(p.ts)
 	}
@@ -500,7 +508,6 @@ func (d *Daemon) handle(p *pending) {
 			Lossy:           true,
 			MaxCuts:         d.cfg.MaxCuts,
 			MaxWidth:        d.cfg.MaxWidth,
-			Workers:         d.cfg.Workers,
 			Counterexamples: d.cfg.Counterexamples,
 			Progress:        progress,
 			Span:            root,
