@@ -252,6 +252,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stdout, "gompaxd: recovered %d interrupted session(s) from an unclean stop\n", n)
 	}
 
+	// Take SIGTERM before the daemon announces itself (the addr file,
+	// ready): whoever learns the address may signal at once, and an
+	// unhandled SIGTERM would kill the process without a drain.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sig)
+
 	var tcpAddr string
 	if *listen != "" {
 		addr, err := d.ListenTCP(*listen)
@@ -293,8 +300,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ready <- tcpAddr
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	s := <-sig
 	signal.Stop(sig)
 	fmt.Fprintf(stdout, "gompaxd: %s received, draining (grace %s)\n", s, *grace)

@@ -14,10 +14,12 @@
 //     Tick and Join build the successor value by copying only the
 //     chunks that change and sharing pointers to the rest. A child
 //     thread's clock after Spawn shares all chunks with the parent.
-//   - Every distinct clock value is interned in a Table: at most one
-//     canonical node per value per table, so within one table pointer
-//     identity is value identity. Leq/Less/Equal/Compare start with a
-//     pointer test and also shortcut over shared chunks.
+//   - Clock values are interned in a Table: at most one canonical
+//     node per value per table, so within one table pointer identity
+//     is value identity. Leq/Less/Equal/Compare start with a pointer
+//     test and also shortcut over shared chunks. The package-level Tick
+//     builds a value outside any table, for a consumer that scopes
+//     value identity itself (the lattice explorer, per level).
 //   - Each node carries a precomputed 64-bit digest, maintained
 //     incrementally (the digest is a XOR of per-component mixes, so a
 //     Tick updates it in O(1)). Consumers use the digest for shard
@@ -404,10 +406,13 @@ type tableShard struct {
 }
 
 // Table is an interning table: at most one canonical node per distinct
-// clock value. Tables are typically scoped to one tracer or one
-// analysis session, so interned values are reclaimed when the session
-// ends and Refs from a single table can serve directly as map keys.
-// All methods are safe for concurrent use.
+// clock value. Tables are typically scoped to one tracer or one wire
+// session, so interned values are reclaimed when the session ends and
+// Refs from a single table can serve directly as map keys. A table
+// never evicts, so the lattice explorer interns no cut clock: a cut
+// lives on one level, and the explorer keys each level by TickDigest
+// and builds new cuts with the table-free Tick. All methods are safe
+// for concurrent use.
 type Table struct {
 	shards    [tableShards]tableShard
 	size      atomic.Int64
@@ -549,7 +554,7 @@ func (t *Table) Intern(comps []uint64) Ref {
 
 // set builds the canonical Ref for r with component i set to x > old,
 // sharing all of r's storage except the path to the chunk containing
-// i. Both Tick and the explorers' cut advancement reduce to this.
+// i. Table.Tick reduces to this.
 func (t *Table) set(r Ref, i int, x uint64) Ref {
 	old := r.Get(i)
 	if x == old {
@@ -565,11 +570,64 @@ func (t *Table) set(r Ref, i int, x uint64) Ref {
 }
 
 // Tick returns the clock with component i incremented by one: step 1
-// of Algorithm A, and the lattice explorer's cut advancement. O(1)
-// amortized: one chunk copy, an incremental digest update, and an
-// intern lookup.
+// of Algorithm A, and lattice.Computation.Advance. O(1) amortized: one
+// chunk copy, an incremental digest update, and an intern lookup.
 func (t *Table) Tick(r Ref, i int) Ref {
 	return t.set(r, i, r.Get(i)+1)
+}
+
+// Tick returns r with component i incremented by one, like Table.Tick,
+// but interned nowhere: the node is built on r's substrate (the zero
+// clock's successors on the process default, flat under auto) and
+// shares every chunk but one with r. The result belongs to no table,
+// so compare it with Equal, not ==. The lattice explorer builds each
+// new cut of a level this way; TickDigest and IsTick find an existing
+// one first.
+func Tick(r Ref, i int) Ref {
+	x, n := r.Get(i)+1, max(r.Len(), i+1)
+	if (r.p != nil && r.p.tree != nil) || (r.p == nil && DefaultRepr() == ReprTree) {
+		p, _ := treeSetNode(r, i, x, n)
+		return Ref{p}
+	}
+	return Ref{flatSet(r, i, x, n)}
+}
+
+// TickDigest returns the digest of r with component i incremented by
+// one without building that value: O(1) from r's digest, since raising
+// one component swaps one term of the XOR. A zero component
+// contributes nothing, so its old term is contrib, not mix.
+func TickDigest(r Ref, i int) uint64 {
+	old := r.Get(i)
+	return r.Digest() ^ contrib(i, old) ^ mix(i, old+1)
+}
+
+// IsTick reports whether c equals r with component i incremented by
+// one, without building that value. It rejects on length, sum and
+// digest first, then walks the chunks of both values on whichever
+// substrates back them, skipping shared ones.
+func IsTick(c, r Ref, i int) bool {
+	if c.p == nil {
+		return false
+	}
+	n := max(r.Len(), i+1)
+	if c.p.n != n || c.p.sum != r.Sum()+1 || c.p.digest != TickDigest(r, i) {
+		return false
+	}
+	ci := i >> chunkShift
+	nc := (n + chunkSize - 1) >> chunkShift
+	for k := 0; k < nc; k++ {
+		cc, rc := c.p.chunkAt(k), r.chunkAt(k)
+		if k == ci {
+			want := *rc
+			want[i&(chunkSize-1)]++
+			if *cc != want {
+				return false
+			}
+		} else if cc != rc && *cc != *rc {
+			return false
+		}
+	}
+	return true
 }
 
 // Join returns the canonical Ref for the pointwise maximum max{a, b}.

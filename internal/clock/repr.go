@@ -124,6 +124,12 @@ func (flatOps) intern(t *Table, comps []uint64, n int) Ref {
 }
 
 func (flatOps) set(t *Table, r Ref, i int, x uint64, n int) Ref {
+	return t.intern(flatSet(r, i, x, n))
+}
+
+// flatSet builds, without interning, the flat node for r with
+// component i raised to x; n is the resulting significant length.
+func flatSet(r Ref, i int, x uint64, n int) *node {
 	old := r.Get(i)
 	nc := (n + chunkSize - 1) >> chunkShift
 	chunks := make([]*chunk, nc)
@@ -140,7 +146,7 @@ func (flatOps) set(t *Table, r Ref, i int, x uint64, n int) Ref {
 	}
 	digest ^= contrib(i, old) ^ contrib(i, x)
 	sum += x - old
-	return t.intern(&node{flat: chunks, n: n, digest: digest, sum: sum})
+	return &node{flat: chunks, n: n, digest: digest, sum: sum}
 }
 
 func (flatOps) join(t *Table, a, b Ref, n int) Ref {

@@ -491,6 +491,15 @@ func (treeOps) intern(t *Table, comps []uint64, n int) Ref {
 }
 
 func (treeOps) set(t *Table, r Ref, i int, x uint64, n int) Ref {
+	p, copied := treeSetNode(r, i, x, n)
+	treeOpRecorded(treeHeight(n), copied)
+	return t.intern(p)
+}
+
+// treeSetNode builds, without interning, the tree node for r with
+// component i raised to x; n is the resulting significant length. It
+// also returns the number of trie nodes copied.
+func treeSetNode(r Ref, i int, x uint64, n int) (*node, int) {
 	h := treeHeight(n)
 	var root *tnode
 	if r.p != nil {
@@ -500,8 +509,7 @@ func (treeOps) set(t *Table, r Ref, i int, x uint64, n int) Ref {
 	}
 	copied := 0
 	nr := treeSet(root, i>>chunkShift, h, i, r.Get(i), x, &copied)
-	treeOpRecorded(h, copied)
-	return t.intern(&node{tree: nr, n: n, digest: nr.digest, sum: nr.sum})
+	return &node{tree: nr, n: n, digest: nr.digest, sum: nr.sum}, copied
 }
 
 func (treeOps) join(t *Table, a, b Ref, n int) Ref {

@@ -273,3 +273,118 @@ func TestTreeShape(t *testing.T) {
 		t.Fatalf("sparse root has %d non-nil kids, want 1", nonNil)
 	}
 }
+
+// TestTickProbe: the lattice explorer's probe-then-build trio agrees
+// with Table.Tick on random refs on both substrates. TickDigest is the
+// interned successor's digest; the table-free Tick builds an Equal
+// value on the parent's substrate and interns nothing; IsTick accepts
+// the successor from any table or substrate and rejects near misses,
+// including a forged digest collision. The component raised is an
+// existing one, a zero one below Len (old = 0 contributes nothing to
+// the digest), or one at or beyond Len, which grows Len and may cross
+// a chunk or trie-height boundary.
+func TestTickProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	iters := 4000
+	if testing.Short() {
+		iters = 800
+	}
+	for _, repr := range []Repr{ReprFlat, ReprTree} {
+		tab := NewTableOpts(Options{Repr: repr})
+		other := NewTableOpts(Options{Repr: ReprFlat + ReprTree - repr})
+		kinds := [3]int{}
+		collisions := 0
+		for it := 0; it < iters; it++ {
+			v := randVec(rng)
+			r := tab.Intern(v)
+			kind := rng.Intn(3)
+			i := r.Len() + rng.Intn(80)
+			switch {
+			case kind == 0 && r.Len() > 0:
+				i = rng.Intn(r.Len())
+				for r.Get(i) == 0 {
+					i = rng.Intn(r.Len())
+				}
+			case kind == 1:
+				for k := 0; k < r.Len(); k++ {
+					if r.Get(k) == 0 && rng.Intn(2) == 0 {
+						i = k
+						break
+					}
+				}
+			}
+			switch {
+			case i >= r.Len():
+				kinds[2]++
+			case r.Get(i) == 0:
+				kinds[1]++
+			default:
+				kinds[0]++
+			}
+
+			want := tab.Tick(r, i)
+			if got := TickDigest(r, i); got != want.Digest() {
+				t.Fatalf("%v it %d: TickDigest(r, %d) = %x, Tick digest %x", repr, it, i, got, want.Digest())
+			}
+			size := tab.Size()
+			c := Tick(r, i)
+			if tab.Size() != size {
+				t.Fatalf("%v it %d: the table-free Tick interned into the table", repr, it)
+			}
+			if !Equal(c, want) || c.Len() != want.Len() || c.Sum() != want.Sum() || c.p == want.p {
+				t.Fatalf("%v it %d: Tick(r, %d) = %v, want an uninterned %v", repr, it, i, c, want)
+			}
+			if r.p != nil && (c.p.tree != nil) != (r.p.tree != nil) {
+				t.Fatalf("%v it %d: successor left the parent's substrate", repr, it)
+			}
+			for _, got := range []Ref{c, want, other.Intern(want.VC())} {
+				if !IsTick(got, r, i) {
+					t.Fatalf("%v it %d: IsTick rejects the successor %v of %v at %d", repr, it, got, r, i)
+				}
+			}
+
+			j := rng.Intn(want.Len() + 2)
+			if j == i {
+				j++
+			}
+			twice := tab.Tick(want, i)
+			negatives := []Ref{{}, r, twice, tab.Tick(r, j), other.Intern(twice.VC())}
+			// The same length and sum, one unit moved from another
+			// component to i.
+			if w := want.VC(); len(w) > 1 {
+				for k := 0; k < len(w)-1; k++ {
+					if k != i && w[k] > 0 {
+						w[k]--
+						w[i]++
+						negatives = append(negatives, other.Intern(w))
+						break
+					}
+				}
+			}
+			for _, bad := range negatives {
+				if IsTick(bad, r, i) {
+					t.Fatalf("%v it %d: IsTick accepts %v as %v raised at %d", repr, it, bad, r, i)
+				}
+				if bad.Len() != want.Len() || bad.Sum() != want.Sum() {
+					continue
+				}
+				// A digest collision: equal digest, length and sum,
+				// different components.
+				forged := *bad.p
+				forged.digest = want.p.digest
+				if IsTick(Ref{&forged}, r, i) {
+					t.Fatalf("%v it %d: IsTick accepts a forged collision %v", repr, it, bad)
+				}
+				collisions++
+			}
+		}
+		if collisions < iters/4 {
+			t.Fatalf("%v: only %d forged collisions checked", repr, collisions)
+		}
+		for k, n := range kinds {
+			if n < iters/10 {
+				t.Fatalf("%v: only %d of %d cases raise a component of kind %d", repr, n, iters, k)
+			}
+		}
+	}
+}

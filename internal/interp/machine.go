@@ -268,15 +268,20 @@ func (m *Machine) SharedState() map[string]int64 {
 // Status returns a thread's scheduling status.
 func (m *Machine) Status(tid int) Status { return m.threads[tid].status }
 
-// Runnable returns the ids of runnable threads in ascending order.
-func (m *Machine) Runnable() []int {
-	var out []int
+// Runnable returns the ids of runnable threads in ascending order, in
+// a fresh slice.
+func (m *Machine) Runnable() []int { return m.AppendRunnable(nil) }
+
+// AppendRunnable appends the ids of runnable threads, in ascending
+// order, to dst and returns the extended slice. A run loop passes its
+// previous result back as dst[:0] to reuse one buffer across steps.
+func (m *Machine) AppendRunnable(dst []int) []int {
 	for i := range m.threads {
 		if m.threads[i].status == Runnable {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // Done reports whether every thread has halted.

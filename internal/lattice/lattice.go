@@ -11,7 +11,8 @@
 //   - Computation.Successors supports the paper's level-by-level,
 //     memory-bounded traversal (at most two adjacent levels live at a
 //     time). The predict package runs the same traversal over the
-//     per-thread messages (Message) and the computation's clock Table.
+//     per-thread messages (Message), with cut identity scoped to each
+//     level instead of the computation's clock Table.
 //   - Build materializes the full lattice with edges, for
 //     visualization, run enumeration and cross-checking against
 //     brute-force linear-extension counting.
@@ -44,9 +45,9 @@ type Computation struct {
 	initial   logic.State
 	perThread [][]event.Message
 	total     int
-	// table interns every cut-count clock of the computation, so cut
-	// Refs built through Advance are canonical: equal cuts carry the
-	// identical Ref, and explorers key their frontiers on it directly.
+	// table interns the cut-count clocks Advance builds, so those Refs
+	// are canonical: equal cuts carry the identical Ref, and Build keys
+	// its node index on it directly.
 	table *clock.Table
 }
 
@@ -113,8 +114,9 @@ func (c *Computation) Message(thread, k int) event.Message {
 
 // Cut is a consistent global state of the computation: counts[i]
 // relevant events of thread i have been applied to the initial state.
-// The counts are an interned clock Ref: within one computation, equal
-// cuts carry the identical Ref.
+// The counts of a cut from Root or Advance are interned in the
+// computation's table: within one computation, equal cuts carry the
+// identical Ref. A cut from NewCut carries the Ref it was given.
 type Cut struct {
 	counts clock.Ref
 	state  logic.State
@@ -455,9 +457,9 @@ func (l *Lattice) StateTuples(varOrder []string) []string {
 // NewCut assembles a Cut from explicit counts and state. It is
 // intended for incremental analyzers (predict.Online) that maintain
 // cut frontiers themselves; counts and state must be mutually
-// consistent for the computation the cut will be used with, and the
-// counts Ref should be interned in that computation's Table so cut
-// Refs stay canonical.
+// consistent for the computation the cut will be used with. The
+// predict analyzers intern their cut clocks nowhere, so compare the
+// counts of such a cut by value (clock.Equal, Key), not by Ref.
 func NewCut(counts clock.Ref, state logic.State) Cut {
 	return Cut{counts: counts, state: state}
 }

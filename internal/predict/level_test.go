@@ -223,3 +223,38 @@ func TestLevelWidthsMatchLattice(t *testing.T) {
 		t.Errorf("MaxWidth %d, lattice width %d", res.Stats.MaxWidth, l.Width())
 	}
 }
+
+// TestLevelDigestCollisions: the level map confirms every digest hit by
+// value, so an analysis in which every cut digest collides explores the
+// same lattice and reports byte-identically, counterexamples included.
+// Not parallel: it swaps the level map's digest function.
+func TestLevelDigestCollisions(t *testing.T) {
+	pulses, pulseInit := pulseMessages(3, 2)
+	comp, err := lattice.NewComputation(pulseInit, 3, pulses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := monitor.MustCompile(logic.MustParseFormula(`!(v0 = 1 /\ v1 = 1) \/ [v0 = 1, v2 = 1)`))
+	run := func() (string, string) {
+		off, err := Analyze(prog, comp, Options{Counterexamples: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := NewOnline(prog, pulseInit, 3, Options{Counterexamples: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderResult(off), renderResult(feedAll(t, o, pulses, 3))
+	}
+	wantOff, wantOn := run()
+	if !strings.Contains(wantOff, "viol ") {
+		t.Fatalf("fixture lost its violations:\n%s", wantOff)
+	}
+	defer func(d func(clock.Ref, int) uint64) { cutDigest = d }(cutDigest)
+	cutDigest = func(clock.Ref, int) uint64 { return 42 }
+	gotOff, gotOn := run()
+	if gotOff != wantOff || gotOn != wantOn {
+		t.Fatalf("colliding digests changed the report:\n--- offline ---\n%s--- with collisions ---\n%s--- online ---\n%s--- with collisions ---\n%s",
+			wantOff, gotOff, wantOn, gotOn)
+	}
+}

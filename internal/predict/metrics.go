@@ -19,7 +19,7 @@ var (
 	mEdges = telemetry.Default().NewCounter("gompax_lattice_edges_total",
 		"Successor edges expanded (consistent single-event extensions).")
 	mDedupHits = telemetry.Default().NewCounter("gompax_lattice_dedup_hits_total",
-		"Successor edges that merged into an already-interned cut.")
+		"Successor edges that merged into a cut already on their level.")
 	mLevels = telemetry.Default().NewCounter("gompax_lattice_levels_total",
 		"Lattice levels sealed across all analyses.")
 	mViolations = telemetry.Default().NewCounter("gompax_predict_violations_total",
@@ -52,7 +52,7 @@ func flushRootTelemetry(violated bool) {
 }
 
 // flushLevelTelemetry records one sealed lattice level: width cuts and
-// pairWidth surviving pairs alive, newCuts freshly interned, pairs
+// pairWidth surviving pairs alive, newCuts freshly built, pairs
 // monitor steps taken, edges successor extensions expanded (so
 // edges-newCuts is the level's dedup-hit count), and violated
 // violating pairs found (pre-dedup).

@@ -161,7 +161,7 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 			if delta.cuts != uint64(res.Stats.Cuts) || delta.pairs != uint64(res.Stats.Pairs) || delta.levels != uint64(res.Stats.Levels) {
 				t.Errorf("%s/%s: counter deltas %+v disagree with Stats %+v", fx.name, mode, delta, res.Stats)
 			}
-			// Every edge either interned a new cut or merged into one.
+			// Every edge either built a new cut or merged into one.
 			if delta.dedup != delta.edges-(delta.cuts-1) {
 				t.Errorf("%s/%s: dedup %d != edges %d - new cuts %d", fx.name, mode, delta.dedup, delta.edges, delta.cuts-1)
 			}

@@ -35,11 +35,8 @@ type Online struct {
 	announced []bool                     // thread-done notice received
 	applied   int                        // events consumed into the frontier
 
-	// table interns the cut clocks the analysis mints, so frontier Refs
-	// compare by identity and Ticks share structure with their parents.
-	table *clock.Table
 	// frontier is the last sealed level, sorted by cut clock (each
-	// entry's keys map each reachable monitor state to one
+	// entry's keys list its reachable monitor states, each with one
 	// representative path, nil unless Counterexamples was set).
 	frontier []*pentry
 	// scratch is the inline level step's monitor, restored to each
@@ -59,13 +56,13 @@ func NewOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 	}
 	// The stream length is unknown up front; seed a level capacity that
 	// covers most sessions and let append double beyond it.
-	return newOnline(prog, initial, threads, opts, "online", clock.NewTable(), 64)
+	return newOnline(prog, initial, threads, opts, "online", 64)
 }
 
 // newOnline builds the session state shared by NewOnline and Analyze:
-// mode labels the analyses counter, table interns the cut clocks, and
-// levels is the LevelWidths capacity to reserve.
-func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Options, mode string, table *clock.Table, levels int) (*Online, error) {
+// mode labels the analyses counter, and levels is the LevelWidths
+// capacity to reserve.
+func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Options, mode string, levels int) (*Online, error) {
 	o := &Online{
 		prog:      prog,
 		initial:   initial,
@@ -75,7 +72,6 @@ func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 		pending:   make([]map[uint64]event.Message, threads),
 		final:     make([]bool, threads),
 		announced: make([]bool, threads),
-		table:     table,
 		ls:        newLevelSpans(opts.Span),
 	}
 	for i := range o.pending {
@@ -102,7 +98,9 @@ func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 		return o, nil
 	}
 	o.opts.Progress.record(&o.result.Stats, 1, 0)
-	o.frontier = []*pentry{{state: initial, keys: map[uint64][]int{m.Key(): nil}}}
+	root := newEntry(clock.Ref{}, initial)
+	root.keys = append(root.keys, mstate{key: m.Key()})
+	o.frontier = []*pentry{root}
 	o.scratch = m
 	return o, nil
 }
@@ -373,9 +371,9 @@ func (o *Online) report(level []*pentry) bool {
 // expandSuccessors enumerates the consistent single-event extensions
 // of one frontier entry from the delivered per-thread event prefixes.
 // For each it yields the advancing thread, the 1-based index of the
-// applied event within that thread, the successor's counts (interned
-// in o.table, so Refs compare by identity) and the applied message.
-func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, counts clock.Ref, m *event.Message)) {
+// applied event within that thread, and the applied message; the
+// level step finds or builds the successor cut.
+func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, m *event.Message)) {
 	for i := 0; i < o.threads; i++ {
 		need := int(ent.counts.Get(i)) + 1
 		if need > len(o.events[i]) {
@@ -385,7 +383,7 @@ func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, cou
 		if !consistentExtension(m.Clock, ent.counts, i) {
 			continue
 		}
-		yield(i, need, o.table.Tick(ent.counts, i), m)
+		yield(i, need, m)
 	}
 }
 

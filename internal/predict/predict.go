@@ -9,6 +9,10 @@
 // synthesized monitors have constant-size state (a bit per temporal
 // subformula), this set is small and deduplicates aggressively, and
 // only two consecutive lattice levels need to be alive at any moment.
+// Cut identity is scoped to a level: each level's cuts are keyed by a
+// digest derived in O(1) from the parent's, a node is built only for a
+// cut new to the level, and no clock table outlives the level, so a
+// retired level's cuts are garbage at the barrier.
 //
 // The memory-bounded level-by-level analysis described above is the
 // production path, with two entry points over one level driver and one
@@ -57,9 +61,10 @@ type Options struct {
 	// MaxWidth bounds the analyzer's live memory: the analysis aborts
 	// with an ErrBudget when a sealed lattice level holds more than
 	// this many distinct cuts (0 = unlimited). Because only two
-	// adjacent levels are ever alive, MaxWidth is a direct cap on the
-	// analyzer's working set — the per-session memory budget a serving
-	// layer imposes on untrusted clients. Both analyzers honor it.
+	// adjacent levels are ever alive, and no table keeps the cuts of a
+	// retired level, MaxWidth is a direct cap on the analyzer's working
+	// set — the per-session memory budget a serving layer imposes on
+	// untrusted clients. Both analyzers honor it.
 	MaxWidth int
 	// Counterexamples, when true, tracks one representative path per
 	// (cut, monitor state) pair so violations carry a full run. This
@@ -307,7 +312,7 @@ func (d *Degraded) String() string {
 // loaded up front, every thread is final, and the level driver runs to
 // completion.
 func Analyze(prog *monitor.Program, comp *lattice.Computation, opts Options) (Result, error) {
-	o, err := newOnline(prog, comp.Initial(), comp.Threads(), opts, "offline", comp.Table(), totalLevels(comp))
+	o, err := newOnline(prog, comp.Initial(), comp.Threads(), opts, "offline", totalLevels(comp))
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gompax/internal/clock"
@@ -224,9 +225,10 @@ func TestAnalyzeAgreesWithEnumeration(t *testing.T) {
 
 // TestLevelMemoryBound: the analyzer's reported width stays at the
 // lattice's widest level even when the lattice has exponentially many
-// runs, demonstrating the two-levels-at-a-time claim (§4).
+// runs, and what a finished analysis keeps alive does not grow with
+// the cut count: the two-levels-at-a-time claim (§4). It is not
+// parallel, so its heap readings see its own analyses alone.
 func TestLevelMemoryBound(t *testing.T) {
-	t.Parallel()
 	// k independent writer threads: lattice is the k-dimensional cube
 	// {0,1}^k with k! runs, widest level C(k, k/2).
 	const k = 8
@@ -260,6 +262,67 @@ func TestLevelMemoryBound(t *testing.T) {
 	if res.Stats.Levels != k+1 {
 		t.Errorf("levels = %d, want %d", res.Stats.Levels, k+1)
 	}
+
+	// A 4 × 20-write grid: 194,481 cuts, widest level 6,181. No clock
+	// table may keep its cuts, and the finished analysis (its result,
+	// and the session object online) must retain well under what one
+	// wide level costs.
+	const threads, writes, maxRetained = 4, 20, 1 << 20
+	gridProp := monitor.MustCompile(logic.MustParseFormula("g0 >= 0"))
+	checkGrid := func(t *testing.T, res Result, retained int64) {
+		t.Helper()
+		if res.Stats.Cuts != 194481 || res.Stats.MaxWidth != 6181 || res.Violated() {
+			t.Fatalf("grid geometry drifted: %d cuts, width %d, %d violations",
+				res.Stats.Cuts, res.Stats.MaxWidth, len(res.Violations))
+		}
+		t.Logf("retained %.2f MB after %d cuts", float64(retained)/(1<<20), res.Stats.Cuts)
+		if retained > maxRetained {
+			t.Errorf("finished analysis retains %.1f MB of live heap, want < %.1f MB",
+				float64(retained)/(1<<20), float64(maxRetained)/(1<<20))
+		}
+	}
+	t.Run("offline", func(t *testing.T) {
+		grid, _ := gridComputation(t, threads, writes)
+		entries := grid.Table().Size()
+		before := liveHeap()
+		res, err := Analyze(gridProp, grid, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := liveHeap() - before
+		runtime.KeepAlive(res)
+		if got := grid.Table().Size(); got != entries {
+			t.Errorf("the computation's clock table grew from %d to %d entries", entries, got)
+		}
+		checkGrid(t, res, retained)
+	})
+	t.Run("online", func(t *testing.T) {
+		grid, gridInit := gridComputation(t, threads, writes)
+		var msgs []event.Message
+		for i := 0; i < threads; i++ {
+			for k := 1; k <= writes; k++ {
+				msgs = append(msgs, grid.Message(i, k))
+			}
+		}
+		before := liveHeap()
+		o, err := NewOnline(gridProp, gridInit, threads, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := feedAll(t, o, msgs, threads)
+		retained := liveHeap() - before
+		runtime.KeepAlive(o)
+		checkGrid(t, res, retained)
+	})
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func TestAnalyzeMaxCuts(t *testing.T) {

@@ -18,7 +18,9 @@ import (
 // Scheduler picks the next thread to run among the runnable ones.
 type Scheduler interface {
 	// Next returns the thread to step next. runnable is non-empty and
-	// ascending. Returning a thread not in runnable is an error the
+	// ascending. It is valid only during the call: the run loop reuses
+	// its backing array at the next step, so a scheduler must not
+	// retain it. Returning a thread not in runnable is an error the
 	// run loop reports.
 	Next(runnable []int) int
 }
@@ -162,8 +164,9 @@ func Run(m *interp.Machine, s Scheduler, maxEvents uint64) (RunResult, error) {
 // while some are still blocked, and with an error once the machine
 // exceeds maxEvents (0 = unlimited), checked after step returns.
 func RunSteps(m *interp.Machine, s Scheduler, maxEvents uint64, step func(tid int, kind interp.StepKind) error) error {
+	var runnable []int
 	for !m.Done() {
-		runnable := m.Runnable()
+		runnable = m.AppendRunnable(runnable[:0])
 		if len(runnable) == 0 {
 			return &DeadlockError{Blocked: m.BlockedThreads()}
 		}

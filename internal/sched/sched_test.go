@@ -7,6 +7,7 @@ import (
 
 	"gompax/internal/interp"
 	"gompax/internal/mtl"
+	"gompax/internal/progs"
 	"gompax/internal/sched"
 )
 
@@ -339,5 +340,27 @@ thread b { y = 1; y = 2; }
 	}
 	if res2.Schedule[0] != 0 {
 		t.Fatalf("tie-break broken: %v", res2.Schedule)
+	}
+}
+
+// TestRunStepsAllocsPerStep: the run loop reuses one runnable buffer
+// across steps, so an uninstrumented run of a lock-heavy program
+// allocates almost nothing beyond setting up the machine.
+func TestRunStepsAllocsPerStep(t *testing.T) {
+	code := mtl.MustCompile(progs.PulseClean(6, 45, 1))
+	steps := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		m := interp.NewMachine(code, interp.NopHooks{})
+		steps = 0
+		err := sched.RunSteps(m, sched.NewRandom(1), 0, func(int, interp.StepKind) error {
+			steps++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / float64(steps); per >= 0.05 {
+		t.Fatalf("%.0f allocations over %d steps: %.3f per step, want < 0.05", allocs, steps, per)
 	}
 }
