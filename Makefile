@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet test race chaos fuzz fuzz-smoke bench-smoke bench-lattice bench-selftest bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
+.PHONY: build fmt-check vet test race chaos fuzz fuzz-smoke bench-smoke bench-lattice bench-selftest bench-clock telemetry-gate serve-smoke crash-gate lab-gate gate verify
 
 build:
 	$(GO) build ./...
@@ -74,15 +74,6 @@ bench-selftest:
 bench-clock:
 	GOMPAX_CLOCK_GATE=1 $(GO) test -count=1 -run TestClockAllocGate -v .
 
-# Tree-clock scaling gate: on the progs.DeepFanIn deep-thread
-# workloads the tree substrate must allocate at most half the flat
-# substrate's bytes per op at 1024 threads, with the flat/tree ratio
-# growing super-constantly across 64/256/1024; on the small paper
-# workloads the auto default must stay within 5% of flat allocs/op.
-# Regenerates BENCH_treeclock.json from the measured numbers.
-bench-treeclock:
-	GOMPAX_TREECLOCK_GATE=1 $(GO) test -count=1 -run TestTreeClockGate -v .
-
 # Telemetry overhead gate: the BenchmarkExploreSequential workload with
 # telemetry active must stay within 5% of the inactive run (baseline
 # and budget in BENCH_telemetry.json).
@@ -116,4 +107,4 @@ lab-gate:
 gate:
 	GO=$(GO) bash scripts/gate.sh
 
-verify: build fmt-check vet race fuzz-smoke bench-smoke bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate
+verify: build fmt-check vet race fuzz-smoke bench-smoke bench-clock telemetry-gate serve-smoke crash-gate

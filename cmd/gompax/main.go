@@ -69,7 +69,6 @@ import (
 	"os"
 	"strings"
 
-	"gompax/internal/clock"
 	"gompax/internal/driver"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
@@ -119,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /healthz, /statusz and /debug/pprof on this address (e.g. :9090)")
 	logLevel := fs.String("log-level", "warn", "structured log level: debug, info, warn, error")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON")
-	clockRepr := fs.String("clock-repr", "auto", "vector-clock substrate: flat, tree, or auto (promote to tree past the thread threshold)")
 	if err := fs.Parse(args); err != nil {
 		return exitError
 	}
@@ -130,12 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitError
 	}
 	telemetry.InitLogging(lvl, *logJSON, stderr)
-	repr, err := clock.ParseRepr(*clockRepr)
-	if err != nil {
-		fmt.Fprintf(stderr, "gompax: %v\n", err)
-		return exitError
-	}
-	clock.SetDefaultRepr(repr)
 	if *maxEvents == 0 {
 		*maxEvents = 1_000_000 // the documented default, on every path
 	}

@@ -68,7 +68,6 @@ import (
 	"syscall"
 	"time"
 
-	"gompax/internal/clock"
 	"gompax/internal/httpx"
 	"gompax/internal/serve"
 	"gompax/internal/telemetry"
@@ -190,7 +189,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	traceBuffer := fs.Int("trace-buffer", 0, "flight-recorder capacity in traces (0 = default 64)")
 	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn, error")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON")
-	clockRepr := fs.String("clock-repr", "auto", "vector-clock substrate for session analysis: flat, tree, or auto")
 	if err := fs.Parse(args); err != nil {
 		return exitError
 	}
@@ -201,12 +199,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return exitError
 	}
 	telemetry.InitLogging(lvl, *logJSON, stderr)
-	repr, err := clock.ParseRepr(*clockRepr)
-	if err != nil {
-		fmt.Fprintf(stderr, "gompaxd: %v\n", err)
-		return exitError
-	}
-	clock.SetDefaultRepr(repr)
 
 	if *verifyStore {
 		return runVerifyStore(*storePath, stdout, stderr)

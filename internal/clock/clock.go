@@ -6,14 +6,14 @@
 // The design follows the observation of tree clocks (Mathur et al.,
 // "A Tree Clock Data Structure for Causal Orderings", ASPLOS 2022)
 // and optimal vector clocks (Zheng & Garg, 2019) that vector-time
-// operations touch few components per event, so the work per event can
-// be bounded by the number of *changed* components instead of the
-// vector width:
+// operations touch few components per event, so the component work
+// per event can be bounded by the number of *changed* components:
 //
-//   - Storage is chunked (8 components per chunk) and persistent:
-//     Tick and Join build the successor value by copying only the
-//     chunks that change and sharing pointers to the rest. A child
-//     thread's clock after Spawn shares all chunks with the parent.
+//   - Storage is a flat spine of chunks (8 components per chunk) and
+//     persistent: Tick and Join build the successor value by copying
+//     the spine (one pointer per chunk) and the chunks that change,
+//     sharing the rest. A child thread's clock after Spawn shares all
+//     chunks with the parent.
 //   - Clock values are interned in a Table: at most one canonical
 //     node per value per table, so within one table pointer identity
 //     is value identity. Leq/Less/Equal/Compare start with a pointer
@@ -65,37 +65,19 @@ type chunk [chunkSize]uint64
 // components. Safe to alias because chunks are never mutated.
 var zeroChunk = &chunk{}
 
-// node is one interned clock value. n is the significant length (the
-// last component is nonzero) and components beyond n are zero. Exactly
-// one substrate backs the value: flat (a spine of ceil(n/chunkSize)
-// chunk pointers) or tree (a radix trie of height treeHeight(n) over
-// the same chunks, see tree.go). digest and sum are substrate-
-// independent functions of the value, so mixed-substrate nodes share
-// buckets, comparisons and fast paths.
+// node is one clock value: a spine of ceil(n/chunkSize) chunk
+// pointers, where n is the significant length (the last component is
+// nonzero) and components beyond n are zero. digest and sum are
+// functions of the value, kept so comparisons can reject early.
 type node struct {
-	flat   []*chunk
-	tree   *tnode
+	chunks []*chunk
 	n      int
 	digest uint64
 	sum    uint64
 }
 
-func (p *node) height() int { return treeHeight(p.n) }
-
-// chunkAt returns chunk ci of the value on either substrate, the
-// shared zero chunk beyond its storage.
-func (p *node) chunkAt(ci int) *chunk {
-	if p.flat != nil {
-		if ci >= len(p.flat) {
-			return zeroChunk
-		}
-		return p.flat[ci]
-	}
-	if ci<<chunkShift >= p.n {
-		return zeroChunk
-	}
-	return treeGetChunk(p.tree, ci, p.height())
-}
+// nchunks returns the spine length of a value of significant length n.
+func nchunks(n int) int { return (n + chunkSize - 1) >> chunkShift }
 
 // Ref is an immutable clock value: a handle to an interned node. The
 // zero Ref is the all-zeros clock. Refs are comparable; within one
@@ -143,7 +125,7 @@ func (r Ref) Get(i int) uint64 {
 	if r.p == nil || i < 0 || i >= r.p.n {
 		return 0
 	}
-	return r.p.chunkAt(i >> chunkShift)[i&(chunkSize-1)]
+	return r.p.chunks[i>>chunkShift][i&(chunkSize-1)]
 }
 
 // IsZero reports whether the clock is all zeros.
@@ -173,10 +155,10 @@ func (r Ref) Sum() uint64 {
 // chunkAt returns the ci'th chunk, or the shared zero chunk beyond the
 // clock's storage.
 func (r Ref) chunkAt(ci int) *chunk {
-	if r.p == nil {
+	if r.p == nil || ci >= len(r.p.chunks) {
 		return zeroChunk
 	}
-	return r.p.chunkAt(ci)
+	return r.p.chunks[ci]
 }
 
 // VC materializes the clock as a mutable vc.VC of length Len. The
@@ -186,12 +168,8 @@ func (r Ref) VC() vc.VC {
 		return nil
 	}
 	out := make(vc.VC, r.p.n)
-	if r.p.flat != nil {
-		for i := range out {
-			out[i] = r.p.flat[i>>chunkShift][i&(chunkSize-1)]
-		}
-	} else {
-		treeFill(out, r.p.tree, 0, r.p.height())
+	for i := range out {
+		out[i] = r.p.chunks[i>>chunkShift][i&(chunkSize-1)]
 	}
 	return out
 }
@@ -231,8 +209,7 @@ func (r Ref) String() string {
 // Equal reports whether a and b denote the same clock value. Within
 // one table this is the pointer test; across tables it falls back to
 // a digest comparison (differing digests prove inequality) and then a
-// sharing-aware component comparison on whichever substrates back the
-// two values.
+// chunk comparison that skips shared chunks.
 func Equal(a, b Ref) bool {
 	if a.p == b.p {
 		return true
@@ -260,37 +237,18 @@ func Leq(a, b Ref) bool {
 	if a.p.sum > b.p.sum {
 		return false // pointwise ≤ implies sum ≤
 	}
-	switch {
-	case a.p.flat != nil && b.p.flat != nil:
-		for ci, ca := range a.p.flat {
-			cb := b.p.flat[ci]
-			if ca == cb {
-				continue
-			}
-			for k := 0; k < chunkSize; k++ {
-				if ca[k] > cb[k] {
-					return false
-				}
+	for ci, ca := range a.p.chunks {
+		cb := b.p.chunks[ci]
+		if ca == cb {
+			continue
+		}
+		for k := 0; k < chunkSize; k++ {
+			if ca[k] > cb[k] {
+				return false
 			}
 		}
-		return true
-	case a.p.tree != nil && b.p.tree != nil:
-		return treeLeqRoots(a.p.tree, a.p.height(), b.p.tree, b.p.height())
-	default: // mixed substrates: generic chunk walk
-		nc := (a.p.n + chunkSize - 1) >> chunkShift
-		for ci := 0; ci < nc; ci++ {
-			ca, cb := a.p.chunkAt(ci), b.p.chunkAt(ci)
-			if ca == cb {
-				continue
-			}
-			for k := 0; k < chunkSize; k++ {
-				if ca[k] > cb[k] {
-					return false
-				}
-			}
-		}
-		return true
 	}
+	return true
 }
 
 // Less reports whether a < b, i.e. a ≤ b and a ≠ b.
@@ -325,16 +283,7 @@ func Compare(a, b Ref) int {
 	if a.p == b.p {
 		return 0
 	}
-	if a.p != nil && b.p != nil && a.p.tree != nil && b.p.tree != nil {
-		if ha, hb := a.p.height(), b.p.height(); ha == hb {
-			return treeCompare(a.p.tree, b.p.tree, ha)
-		}
-	}
-	n := a.Len()
-	if bl := b.Len(); bl > n {
-		n = bl
-	}
-	nc := (n + chunkSize - 1) >> chunkShift
+	nc := nchunks(max(a.Len(), b.Len()))
 	for ci := 0; ci < nc; ci++ {
 		ca, cb := a.chunkAt(ci), b.chunkAt(ci)
 		if ca == cb {
@@ -367,16 +316,7 @@ func Diff(prev, cur Ref, f func(i int, delta uint64)) bool {
 	if prev.Len() > cur.Len() {
 		return false
 	}
-	if cur.p != nil && cur.p.tree != nil && (prev.p == nil || prev.p.tree != nil) {
-		var pt *tnode
-		hp := 0
-		if prev.p != nil {
-			pt, hp = prev.p.tree, prev.p.height()
-		}
-		return treeDiffRoots(pt, hp, cur.p.tree, cur.p.height(), 0, f)
-	}
-	nc := (cur.Len() + chunkSize - 1) >> chunkShift
-	for ci := 0; ci < nc; ci++ {
+	for ci := 0; ci < nchunks(cur.Len()); ci++ {
 		cp, cc := prev.chunkAt(ci), cur.chunkAt(ci)
 		if cp == cc {
 			continue
@@ -414,109 +354,35 @@ type tableShard struct {
 // and builds new cuts with the table-free Tick. All methods are safe
 // for concurrent use.
 type Table struct {
-	shards    [tableShards]tableShard
-	size      atomic.Int64
-	opts      Options
-	threshold int
-	promoted  atomic.Bool
+	shards [tableShards]tableShard
+	size   atomic.Int64
 }
 
-// NewTable returns an empty interning table on the process default
-// representation (see SetDefaultRepr; auto unless a flag changed it).
+// NewTable returns an empty interning table.
 func NewTable() *Table {
-	return NewTableOpts(Options{Repr: DefaultRepr()})
-}
-
-// NewTableOpts returns an empty interning table on the given
-// substrate.
-func NewTableOpts(o Options) *Table {
-	t := &Table{opts: o, threshold: o.AutoThreshold}
-	if t.threshold <= 0 {
-		t.threshold = DefaultAutoThreshold
-	}
+	t := &Table{}
 	for i := range t.shards {
 		t.shards[i].buckets = make(map[uint64][]*node)
 	}
-	tableCreated(t)
+	mTables.Add(1)
 	return t
 }
 
 // Size returns the number of distinct clock values interned so far.
 func (t *Table) Size() int { return int(t.size.Load()) }
 
-// Repr returns the substrate new values are currently built on: the
-// configured representation, resolved for auto tables to flat or tree
-// depending on whether the promotion threshold has been crossed.
-func (t *Table) Repr() Repr {
-	switch {
-	case t.opts.Repr != ReprAuto:
-		return t.opts.Repr
-	case t.promoted.Load():
-		return ReprTree
-	default:
-		return ReprFlat
-	}
-}
-
-// ops picks the representation that builds a value of significant
-// length n, promoting an auto table — one way, for the rest of its
-// life — the first time n crosses the threshold. Values interned
-// before the promotion stay flat; mixed operands go through the
-// generic comparison paths and are converted lazily (and cheaply,
-// since pre-promotion values are threshold-bounded) when a tree
-// operation consumes them.
-func (t *Table) ops(n int) representation {
-	switch t.opts.Repr {
-	case ReprFlat:
-		return flatOps{}
-	case ReprTree:
-		return treeOps{}
-	}
-	if t.promoted.Load() {
-		return treeOps{}
-	}
-	if n > t.threshold {
-		if t.promoted.CompareAndSwap(false, true) {
-			tablePromoted()
-		}
-		return treeOps{}
-	}
-	return flatOps{}
-}
-
-// nodesEqual compares two normalized nodes by value, shared storage
+// nodesEqual compares two normalized nodes by value, shared chunks
 // shortcut by pointer. Digest equality is assumed (bucket invariant).
 func nodesEqual(x, y *node) bool {
 	if x.n != y.n || x.sum != y.sum {
 		return false
 	}
-	switch {
-	case x.flat != nil && y.flat != nil:
-		for ci, cx := range x.flat {
-			cy := y.flat[ci]
-			if cx == cy {
-				continue
-			}
-			if *cx != *cy {
-				return false
-			}
+	for ci, cx := range x.chunks {
+		if cy := y.chunks[ci]; cx != cy && *cx != *cy {
+			return false
 		}
-		return true
-	case x.tree != nil && y.tree != nil:
-		return treeEqual(x.tree, y.tree, x.height())
-	default: // mixed substrates: generic chunk walk
-		nc := (x.n + chunkSize - 1) >> chunkShift
-		for ci := 0; ci < nc; ci++ {
-			cx, cy := x.chunkAt(ci), y.chunkAt(ci)
-			if cx == cy {
-				continue
-			}
-			if *cx != *cy {
-				return false
-			}
-		}
-		return true
 	}
+	return true
 }
 
 // intern returns the canonical Ref for the candidate node, inserting
@@ -535,7 +401,7 @@ func (t *Table) intern(cand *node) Ref {
 	s.buckets[cand.digest] = append(s.buckets[cand.digest], cand)
 	s.mu.Unlock()
 	t.size.Add(1)
-	nodeInterned(cand)
+	mInterned.Inc()
 	return Ref{cand}
 }
 
@@ -549,47 +415,58 @@ func (t *Table) Intern(comps []uint64) Ref {
 	if n == 0 {
 		return Ref{}
 	}
-	return t.ops(n).intern(t, comps, n)
+	return t.intern(buildNode(comps[:n]))
 }
 
-// set builds the canonical Ref for r with component i set to x > old,
-// sharing all of r's storage except the path to the chunk containing
-// i. Table.Tick reduces to this.
-func (t *Table) set(r Ref, i int, x uint64) Ref {
-	old := r.Get(i)
-	if x == old {
-		return r
+// buildNode builds the node for the normalized components comps
+// (comps[len-1] != 0) in fresh chunks.
+func buildNode(comps []uint64) *node {
+	chunks := make([]*chunk, nchunks(len(comps)))
+	var digest, sum uint64
+	for ci := range chunks {
+		c := &chunk{}
+		base := ci << chunkShift
+		copy(c[:], comps[base:])
+		for k, x := range c {
+			digest ^= contrib(base+k, x)
+			sum += x
+		}
+		chunks[ci] = c
 	}
-	n := r.Len()
-	if x != 0 && i+1 > n {
-		n = i + 1
-	}
-	// x == 0 would require re-normalizing trailing zeros; no caller
-	// decreases components, and Tick/Join only raise them.
-	return t.ops(n).set(t, r, i, x, n)
+	return &node{chunks: chunks, n: len(comps), digest: digest, sum: sum}
 }
 
 // Tick returns the clock with component i incremented by one: step 1
-// of Algorithm A, and lattice.Computation.Advance. O(1) amortized: one
+// of Algorithm A, and lattice.Computation.Advance. One spine and one
 // chunk copy, an incremental digest update, and an intern lookup.
 func (t *Table) Tick(r Ref, i int) Ref {
-	return t.set(r, i, r.Get(i)+1)
+	return t.intern(tickNode(r, i))
 }
 
 // Tick returns r with component i incremented by one, like Table.Tick,
-// but interned nowhere: the node is built on r's substrate (the zero
-// clock's successors on the process default, flat under auto) and
-// shares every chunk but one with r. The result belongs to no table,
-// so compare it with Equal, not ==. The lattice explorer builds each
-// new cut of a level this way; TickDigest and IsTick find an existing
-// one first.
+// but interned nowhere: the node shares every chunk but one with r.
+// The result belongs to no table, so compare it with Equal, not ==.
+// The lattice explorer builds each new cut of a level this way;
+// TickDigest and IsTick find an existing one first.
 func Tick(r Ref, i int) Ref {
-	x, n := r.Get(i)+1, max(r.Len(), i+1)
-	if (r.p != nil && r.p.tree != nil) || (r.p == nil && DefaultRepr() == ReprTree) {
-		p, _ := treeSetNode(r, i, x, n)
-		return Ref{p}
+	return Ref{tickNode(r, i)}
+}
+
+// tickNode builds, without interning, the node for r with component i
+// incremented: the spine is copied, the chunk holding i is copied and
+// raised, and every other chunk is shared with r.
+func tickNode(r Ref, i int) *node {
+	old := r.Get(i)
+	n := max(r.Len(), i+1)
+	chunks := make([]*chunk, nchunks(n))
+	for ci := range chunks {
+		chunks[ci] = r.chunkAt(ci)
 	}
-	return Ref{flatSet(r, i, x, n)}
+	ci := i >> chunkShift
+	c := *chunks[ci]
+	c[i&(chunkSize-1)] = old + 1
+	chunks[ci] = &c
+	return &node{chunks: chunks, n: n, digest: TickDigest(r, i), sum: r.Sum() + 1}
 }
 
 // TickDigest returns the digest of r with component i incremented by
@@ -603,8 +480,8 @@ func TickDigest(r Ref, i int) uint64 {
 
 // IsTick reports whether c equals r with component i incremented by
 // one, without building that value. It rejects on length, sum and
-// digest first, then walks the chunks of both values on whichever
-// substrates back them, skipping shared ones.
+// digest first, then walks the chunks of both values, skipping shared
+// ones.
 func IsTick(c, r Ref, i int) bool {
 	if c.p == nil {
 		return false
@@ -614,9 +491,8 @@ func IsTick(c, r Ref, i int) bool {
 		return false
 	}
 	ci := i >> chunkShift
-	nc := (n + chunkSize - 1) >> chunkShift
-	for k := 0; k < nc; k++ {
-		cc, rc := c.p.chunkAt(k), r.chunkAt(k)
+	for k, cc := range c.p.chunks {
+		rc := r.chunkAt(k)
 		if k == ci {
 			want := *rc
 			want[i&(chunkSize-1)]++
@@ -643,11 +519,49 @@ func (t *Table) Join(a, b Ref) Ref {
 	if a.p == nil || Leq(a, b) {
 		return b
 	}
-	n := a.Len()
-	if bl := b.Len(); bl > n {
-		n = bl
+	return t.intern(joinNode(a, b))
+}
+
+// joinNode builds, without interning, the pointwise maximum of a and b
+// for the general case: neither side zero, neither dominating. A chunk
+// equal to one side's is shared; only chunks mixing both are fresh.
+func joinNode(a, b Ref) *node {
+	n := max(a.Len(), b.Len())
+	chunks := make([]*chunk, nchunks(n))
+	digest, sum := a.p.digest, a.p.sum
+	for ci := range chunks {
+		ca, cb := a.chunkAt(ci), b.chunkAt(ci)
+		if ca == cb {
+			chunks[ci] = ca
+			continue
+		}
+		fromA, fromB := true, true
+		var m chunk
+		base := ci << chunkShift
+		for k := 0; k < chunkSize; k++ {
+			if ca[k] >= cb[k] {
+				m[k] = ca[k]
+				if ca[k] > cb[k] {
+					fromB = false
+				}
+			} else {
+				m[k] = cb[k]
+				fromA = false
+				digest ^= contrib(base+k, ca[k]) ^ contrib(base+k, cb[k])
+				sum += cb[k] - ca[k]
+			}
+		}
+		switch {
+		case fromA:
+			chunks[ci] = ca
+		case fromB:
+			chunks[ci] = cb
+		default:
+			c := m // m stays on the stack unless the chunk is new
+			chunks[ci] = &c
+		}
 	}
-	return t.ops(n).join(t, a, b, n)
+	return &node{chunks: chunks, n: n, digest: digest, sum: sum}
 }
 
 // global is the process-wide convenience table used by tests, tools

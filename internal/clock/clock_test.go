@@ -154,13 +154,13 @@ func TestTickSharesChunks(t *testing.T) {
 	}
 	a := tb.Intern(comps)
 	b := tb.Tick(a, 0)
-	if len(a.p.flat) != 3 || len(b.p.flat) != 3 {
-		t.Fatalf("expected 3 chunks, got %d and %d", len(a.p.flat), len(b.p.flat))
+	if len(a.p.chunks) != 3 || len(b.p.chunks) != 3 {
+		t.Fatalf("expected 3 chunks, got %d and %d", len(a.p.chunks), len(b.p.chunks))
 	}
-	if b.p.flat[0] == a.p.flat[0] {
+	if b.p.chunks[0] == a.p.chunks[0] {
 		t.Fatal("modified chunk must be fresh")
 	}
-	if b.p.flat[1] != a.p.flat[1] || b.p.flat[2] != a.p.flat[2] {
+	if b.p.chunks[1] != a.p.chunks[1] || b.p.chunks[2] != a.p.chunks[2] {
 		t.Fatal("unmodified chunks must be shared by pointer")
 	}
 }

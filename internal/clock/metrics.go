@@ -2,7 +2,6 @@ package clock
 
 import (
 	"encoding/json"
-	"sync/atomic"
 
 	"gompax/internal/telemetry"
 )
@@ -10,69 +9,17 @@ import (
 // Interning telemetry. Table operations already take a shard lock, so
 // one uncontended atomic add per intern outcome is within the §9
 // hot-path budget (no time syscalls, no allocation, not gated). The
-// gauges track process-wide live state: entries count interned nodes
-// across all tables, tables counts tables created. Tables are scoped
-// to sessions and reclaimed by GC with their nodes, so the gauges are
-// high-water views of what the process has built, matching when the
-// memory is actually released only as precisely as GC does.
-//
-// The per-representation family splits interned nodes by substrate so
-// an operator can see whether a deep-thread tracer actually promoted
-// (flat nodes stop growing, tree nodes take over) and how big the
-// tree copies are: the copied-nodes histogram is the measured
-// "O(subtree changed)" — it should stay near the trie height on Tick
-// and well below the full node count on Join.
+// tables gauge counts tables created; tables are scoped to sessions and
+// reclaimed by GC with their nodes, so it is a high-water view of what
+// the process has built, not of what is live.
 var (
 	mInterned = telemetry.Default().NewCounter("gompax_clock_interned_total",
 		"Distinct clock values interned across all clock tables.")
 	mHits = telemetry.Default().NewCounter("gompax_clock_intern_hits_total",
 		"Intern lookups that found an existing canonical clock node.")
-	mEntries = telemetry.Default().NewGauge("gompax_clock_intern_entries",
-		"Clock nodes currently interned across all live clock tables.")
 	mTables = telemetry.Default().NewGauge("gompax_clock_intern_tables",
 		"Clock interning tables created by the process.")
-
-	mReprNodes = telemetry.Default().NewCounterVec("gompax_clock_repr_nodes_total",
-		"Clock nodes interned, by storage substrate.", "repr")
-	mFlatNodes  = mReprNodes.With("flat")
-	mTreeNodes  = mReprNodes.With("tree")
-	mPromotions = telemetry.Default().NewCounter("gompax_clock_tree_promotions_total",
-		"Auto tables promoted from the flat to the tree substrate.")
-	mTreeDepth = telemetry.Default().NewGauge("gompax_clock_tree_depth",
-		"Maximum tree-clock trie height built by the process.")
-	mTreeCopied = telemetry.Default().NewHistogram("gompax_clock_tree_copied_nodes",
-		"Trie nodes copied per tree-substrate Tick/Join (subtree-copy size).")
 )
-
-// liveEntries mirrors mEntries for the /statusz snapshot.
-var liveEntries, liveTables atomic.Int64
-
-func nodeInterned(p *node) {
-	mInterned.Inc()
-	mEntries.Add(1)
-	liveEntries.Add(1)
-	if p.flat != nil {
-		mFlatNodes.Inc()
-	} else {
-		mTreeNodes.Inc()
-	}
-}
-
-func tableCreated(t *Table) {
-	mTables.Add(1)
-	liveTables.Add(1)
-}
-
-func tablePromoted() {
-	mPromotions.Inc()
-}
-
-// treeOpRecorded tracks one tree-substrate construction: the trie
-// height it ran at and how many tnodes it copied.
-func treeOpRecorded(h, copied int) {
-	mTreeDepth.SetMax(int64(h))
-	mTreeCopied.Observe(uint64(copied))
-}
 
 // statusSection marshals live interning state at scrape time, so the
 // /statusz "clock" section is always current with zero cost on the
@@ -90,14 +37,7 @@ func (statusSection) MarshalJSON() ([]byte, error) {
 		"interned_total":    interned,
 		"intern_hits_total": hits,
 		"hit_ratio":         ratio,
-		"entries":           liveEntries.Load(),
-		"tables":            liveTables.Load(),
-		"flat_nodes":        mFlatNodes.Value(),
-		"tree_nodes":        mTreeNodes.Value(),
-		"tree_promotions":   mPromotions.Value(),
-		"max_tree_depth":    mTreeDepth.Value(),
-		"tree_copied_nodes": mTreeCopied.Sum(),
-		"tree_ops":          mTreeCopied.Count(),
+		"tables":            mTables.Value(),
 	})
 }
 

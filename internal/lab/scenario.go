@@ -47,8 +47,8 @@ const (
 	Generated Behavior = "generated"
 
 	// The deep classes scale the pulse templates to hundreds or
-	// thousands of threads — the regime the tree-clock substrate
-	// exists for. Exhaustive interleaving enumeration is impossible at
+	// thousands of threads, where every clock operation is wide.
+	// Exhaustive interleaving enumeration is impossible at
 	// this scale, so their ground truth is *declared*: the templates
 	// are constructed so the truth is exactly known analytically (see
 	// buildDeep), and Truth.Declared marks it as such.
@@ -326,7 +326,7 @@ func DefaultGrid(seed int64) Grid {
 }
 
 // DeepGrid is the deep-thread grid alone: both deep templates at every
-// deep scale, for focused tree-clock scaling runs.
+// deep scale, for focused deep-thread scaling runs.
 func DeepGrid(seed int64) Grid {
 	g := Grid{Name: "deep", Seed: seed}
 	for _, threads := range progs.DeepScales {

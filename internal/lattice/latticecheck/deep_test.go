@@ -41,21 +41,21 @@ func deepCase(rng *rand.Rand, threads int) Case {
 
 // TestDeepThreadClockParity is the deep-scale arm of the clock-parity
 // harness: at threads ∈ {64, 256, 1024} (the last skipped under
-// -short) it replays one random workload on flat-backed, tree-backed
-// and legacy vc.VC trackers and asserts
+// -short) it replays one random workload on the production tracker and
+// the legacy vc.VC tracker and asserts
 //
-//  1. message parity — identical events, cross-substrate-Equal clocks
-//     with equal canonical keys, vc.Equal against the legacy oracle;
-//  2. Theorem 3 against the independent causality ground truth on both
-//     substrates and on mixed flat/tree comparisons (all ordered
-//     message pairs at the small scales, a seeded sample at 1024);
+//  1. message parity — identical events, clocks vc.Equal to the
+//     legacy oracle's;
+//  2. Theorem 3 against the independent causality ground truth on
+//     both trackers (all ordered message pairs at the small scales, a
+//     seeded sample at 1024);
 //  3. explorer parity — when the lattice is small enough to
-//     materialize, both explorer modes produce byte-identical
-//     verdicts from the flat-backed and the tree-backed messages.
+//     materialize, both explorer modes produce byte-identical verdicts
+//     from the production messages and from the legacy vectors
+//     re-interned.
 //
-// This is where the tree substrate earns its correctness claim in the
-// regime it exists for: thousands-component clocks with wide fan-in
-// joins, not the toy vectors the unit tests cover.
+// This pins the clock layer in the regime the unit tests' toy vectors
+// do not reach: thousand-component clocks with wide fan-in joins.
 func TestDeepThreadClockParity(t *testing.T) {
 	t.Parallel()
 	scales := []int{64, 256}
@@ -70,59 +70,45 @@ func TestDeepThreadClockParity(t *testing.T) {
 			c := deepCase(rng, threads)
 			policy := mvc.WritesOf(c.Relevant...)
 
-			flatEvents, flatMsgs := trace.ExecuteOpts(c.Ops, threads, policy, clock.Options{Repr: clock.ReprFlat})
-			treeEvents, treeMsgs := trace.ExecuteOpts(c.Ops, threads, policy, clock.Options{Repr: clock.ReprTree})
+			events, msgs := trace.Execute(c.Ops, threads, policy)
 			leg := NewLegacyTracker(threads, policy)
-			for _, e := range flatEvents {
-				leg.Process(event.Event{Thread: e.Thread, Kind: e.Kind, Var: e.Var, Value: e.Value})
-			}
-
-			// 1. Message parity across all three substrates.
-			if len(flatEvents) != len(treeEvents) {
-				t.Fatalf("event counts differ: flat %d tree %d", len(flatEvents), len(treeEvents))
-			}
-			for i := range flatEvents {
-				if flatEvents[i] != treeEvents[i] {
-					t.Fatalf("event %d differs: flat %+v tree %+v", i, flatEvents[i], treeEvents[i])
-				}
-			}
-			if len(flatMsgs) != len(treeMsgs) || len(flatMsgs) != len(leg.Msgs) {
-				t.Fatalf("message counts differ: flat %d tree %d legacy %d",
-					len(flatMsgs), len(treeMsgs), len(leg.Msgs))
-			}
-			for k := range flatMsgs {
-				fm, tm, lm := flatMsgs[k], treeMsgs[k], leg.Msgs[k]
-				if fm.Event != tm.Event || fm.Event != lm.Event {
-					t.Fatalf("msg %d: events differ across substrates", k)
-				}
-				if !clock.Equal(fm.Clock, tm.Clock) || fm.Clock.Key() != tm.Clock.Key() {
-					t.Fatalf("msg %d: flat clock %s != tree clock %s", k, fm.Clock, tm.Clock)
-				}
-				if !vc.Equal(lm.Clock, tm.Clock.VC()) {
-					t.Fatalf("msg %d: legacy clock %v != tree clock %s", k, lm.Clock, tm.Clock)
+			for _, e := range events {
+				if got := leg.Process(event.Event{Thread: e.Thread, Kind: e.Kind, Var: e.Var, Value: e.Value}); got != e {
+					t.Fatalf("legacy tracker completed event %+v, production %+v", got, e)
 				}
 			}
 
-			// 2. Theorem 3 against ground truth, flat, tree and mixed.
-			gt := causality.Build(flatEvents)
+			// 1. Message parity against the legacy oracle.
+			if len(msgs) != len(leg.Msgs) {
+				t.Fatalf("message counts differ: production %d legacy %d", len(msgs), len(leg.Msgs))
+			}
+			for k := range msgs {
+				fm, lm := msgs[k], leg.Msgs[k]
+				if fm.Event != lm.Event {
+					t.Fatalf("msg %d: events differ: %+v vs %+v", k, fm.Event, lm.Event)
+				}
+				if !vc.Equal(lm.Clock, fm.Clock.VC()) || fm.Clock.Key() != lm.Clock.Key() {
+					t.Fatalf("msg %d: legacy clock %v != clock %s", k, lm.Clock, fm.Clock)
+				}
+			}
+
+			// 2. Theorem 3 against ground truth on both trackers.
+			gt := causality.Build(events)
 			pos := map[string]int{}
-			for i, e := range flatEvents {
+			for i, e := range events {
 				pos[e.ID()] = i
 			}
 			check := func(a, b int) {
-				fa, fb := flatMsgs[a], flatMsgs[b]
-				ta, tb := treeMsgs[a], treeMsgs[b]
+				fa, fb := msgs[a], msgs[b]
 				la, lb := leg.Msgs[a], leg.Msgs[b]
 				want := gt.Precedes(pos[fa.Event.ID()], pos[fb.Event.ID()])
 				checks := []struct {
 					name string
 					got  bool
 				}{
-					{"flat clock.Precedes", clock.Precedes(fa.Clock, fa.Event.Thread, fb.Clock)},
-					{"flat clock.Less", clock.Less(fa.Clock, fb.Clock)},
-					{"tree clock.Precedes", clock.Precedes(ta.Clock, ta.Event.Thread, tb.Clock)},
-					{"tree clock.Less", clock.Less(ta.Clock, tb.Clock)},
-					{"mixed clock.Less", clock.Less(fa.Clock, tb.Clock)},
+					{"clock.Precedes", clock.Precedes(fa.Clock, fa.Event.Thread, fb.Clock)},
+					{"clock.Less", clock.Less(fa.Clock, fb.Clock)},
+					{"vc.Precedes", vc.Precedes(la.Clock, la.Event.Thread, lb.Clock)},
 					{"vc.Less", vc.Less(la.Clock, lb.Clock)},
 				}
 				for _, ck := range checks {
@@ -132,7 +118,7 @@ func TestDeepThreadClockParity(t *testing.T) {
 					}
 				}
 			}
-			m := len(flatMsgs)
+			m := len(msgs)
 			if m*m <= 40000 {
 				for a := 0; a < m; a++ {
 					for b := 0; b < m; b++ {
@@ -154,7 +140,7 @@ func TestDeepThreadClockParity(t *testing.T) {
 			// the largest scale the grid exceeds the bound and only the
 			// message and Theorem 3 parity above apply (same bounded
 			// differential-check policy as the small harness).
-			comp, err := lattice.NewComputation(c.Initial, threads, flatMsgs)
+			comp, err := lattice.NewComputation(c.Initial, threads, msgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,20 +148,25 @@ func TestDeepThreadClockParity(t *testing.T) {
 				t.Logf("t%d: lattice too large to materialize (%d messages), explorer parity skipped", threads, m)
 				return
 			}
-			flatRes := analyzeAllModes(t, c, flatMsgs, true)
-			treeRes := analyzeAllModes(t, c, treeMsgs, true)
-			want := flatRes[0]
-			for k := range flatRes {
-				if flatRes[k] != want {
-					t.Fatalf("flat mode %d diverged:\n--- mode 0 ---\n%s--- mode %d ---\n%s",
-						k, want, k, flatRes[k])
+			table := clock.NewTable()
+			relegacy := make([]event.Message, len(leg.Msgs))
+			for k, lm := range leg.Msgs {
+				relegacy[k] = event.Message{Event: lm.Event, Clock: table.Intern(lm.Clock)}
+			}
+			res := analyzeAllModes(t, c, msgs, true)
+			legacyRes := analyzeAllModes(t, c, relegacy, true)
+			want := res[0]
+			for k := range res {
+				if res[k] != want {
+					t.Fatalf("mode %d diverged:\n--- mode 0 ---\n%s--- mode %d ---\n%s",
+						k, want, k, res[k])
 				}
-				if treeRes[k] != want {
-					t.Fatalf("tree mode %d diverged from flat:\n--- flat ---\n%s--- tree ---\n%s",
-						k, want, treeRes[k])
+				if legacyRes[k] != want {
+					t.Fatalf("legacy-clock mode %d diverged:\n--- production ---\n%s--- legacy ---\n%s",
+						k, want, legacyRes[k])
 				}
 			}
-			t.Logf("t%d: %d events, %d messages, explorer parity across 4 arms", threads, len(flatEvents), m)
+			t.Logf("t%d: %d events, %d messages, explorer parity across 4 arms", threads, len(events), m)
 		})
 	}
 }

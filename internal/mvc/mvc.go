@@ -127,21 +127,12 @@ type Tracker struct {
 
 // NewTracker returns a tracker for n initial threads (more may be added
 // with Fork) using the given relevance policy. Messages for relevant
-// events are delivered to sink; a nil sink discards them. The clock
-// table uses the process-default representation (auto: flat until the
-// thread count warrants the tree substrate).
+// events are delivered to sink; a nil sink discards them.
 func NewTracker(n int, policy Policy, sink Sink) *Tracker {
-	return NewTrackerOpts(n, policy, sink, clock.Options{Repr: clock.DefaultRepr()})
-}
-
-// NewTrackerOpts is NewTracker with an explicit clock substrate, for
-// per-tracer representation selection (benchmark arms, deep-thread
-// tracers pinned to tree, parity harnesses pinned to flat).
-func NewTrackerOpts(n int, policy Policy, sink Sink, copts clock.Options) *Tracker {
 	t := &Tracker{
 		policy:  policy,
 		sink:    sink,
-		table:   clock.NewTableOpts(copts),
+		table:   clock.NewTable(),
 		threads: make([]clock.Ref, n), // zero Refs: all-zero clocks
 		counts:  make([]uint64, n),
 		tallies: make([]*telemetry.Counter, n),

@@ -3,7 +3,10 @@ package observer_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"runtime"
@@ -282,5 +285,85 @@ func TestAnalyzeChannelsStillBlocksWithoutTimeout(t *testing.T) {
 	}
 	if res.Degraded != nil && res.Degraded.Any() {
 		t.Fatalf("healthy session reported degradation: %+v", res.Degraded)
+	}
+}
+
+// wideDeltaStream is a hostile session of a few hundred bytes: a Hello
+// announcing two threads, 16 message frames of thread 0 whose v3 delta
+// clocks each raise one component near index 1,000,000, and a Bye.
+// Every frame carries a valid checksum, so only the clock bound stops a
+// receiver from materializing million-component clocks.
+func wideDeltaStream(t testing.TB) []byte {
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	frame := func(buf *bytes.Buffer, kind wire.FrameKind, seq uint64, payload []byte) {
+		hdr := []byte{0xA7, byte(kind)} // frame magic, kind
+		hdr = binary.AppendUvarint(hdr, seq)
+		hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+		crc := crc32.Update(crc32.Checksum(hdr[1:], castagnoli), castagnoli, payload)
+		buf.Write(binary.LittleEndian.AppendUint32(hdr, crc))
+		buf.Write(payload)
+	}
+	var buf bytes.Buffer
+	s := wire.NewSender(&buf)
+	if err := s.SendHello(wire.Hello{Threads: 2, Initial: logic.StateFromMap(map[string]int64{"x": 0})}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const frames = 16
+	for k := 0; k < frames; k++ {
+		m := event.Message{Event: event.Event{Seq: uint64(k + 1), Thread: 0, Index: uint64(k + 1), Kind: event.Write, Var: "x", Value: 1, Relevant: true}}
+		// A zero clock encodes as mode full (0) and count 0; replace
+		// those two bytes with a delta (mode 1) chained to own
+		// component 0 that raises one far component by 1.
+		p := wire.AppendMessage(nil, m)
+		p = append(p[:len(p)-2], 1, 0, 1)
+		p = binary.AppendUvarint(p, uint64(999_990+k))
+		frame(&buf, wire.FrameMessage, uint64(k+2), append(p, 1))
+	}
+	frame(&buf, wire.FrameBye, frames+2, nil)
+	return buf.Bytes()
+}
+
+// TestWideDeltaBounded: a receiver rejects a clock longer than the
+// session's announced thread count before allocating it. Strict mode
+// fails with ErrBadLength; resync mode counts every message frame as
+// corrupt and retains under 1 MB; a lossy analysis ends degraded,
+// never confident.
+func TestWideDeltaBounded(t *testing.T) {
+	raw := wideDeltaStream(t)
+	if _, err := observer.Drain(wire.NewReceiver(bytes.NewReader(raw))); !errors.Is(err, wire.ErrBadLength) {
+		t.Fatalf("strict receiver: err = %v, want ErrBadLength", err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := wire.NewResyncReceiver(bytes.NewReader(raw))
+	for {
+		if _, err := r.Next(); err != nil {
+			break
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if st := r.Stats(); st.CorruptFrames != 16 || !r.SawBye() {
+		t.Fatalf("resync receiver: %s, bye %v; want 16 corrupt frames and the bye", st, r.SawBye())
+	}
+	runtime.KeepAlive(r)
+	if kept > 1<<20 {
+		t.Fatalf("resync receiver retains %d bytes after a %d-byte stream, want under 1 MB", kept, len(raw))
+	}
+	t.Logf("%d-byte stream: resync receiver retains %d bytes, allocated %d", len(raw), kept, after.TotalAlloc-before.TotalAlloc)
+
+	prog := monitor.MustCompile(logic.MustParseFormula("x < 5"))
+	res, err := observer.Analyze(wire.NewResyncReceiver(bytes.NewReader(raw)), prog, predict.Options{Lossy: true})
+	if err != nil {
+		t.Fatalf("lossy analysis: %v", err)
+	}
+	if !res.Degraded.Any() || len(res.Degraded.Wire) != 1 || res.Degraded.Wire[0].CorruptFrames != 16 {
+		t.Fatalf("lossy analysis: %v, want degraded with 16 corrupt frames", res.Degraded)
 	}
 }

@@ -39,6 +39,7 @@ func FuzzObserverSession(f *testing.F) {
 		s.SendHello(wire.Hello{Threads: 1, Initial: x})
 	}))
 	f.Add(stalledSession())
+	f.Add(wideDeltaStream(f))
 	prog := monitor.MustCompile(logic.MustParseFormula(progs.LandingProperty))
 	budget := predict.Options{MaxCuts: 512, MaxWidth: 32}
 	f.Fuzz(func(t *testing.T, data []byte) {

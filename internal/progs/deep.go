@@ -6,14 +6,13 @@ import (
 )
 
 // DeepScales are the deep-thread scenario scales exercised by the lab
-// deep grid and the tree-clock benchmarks: far past the paper's 2–6
-// thread examples, into the regime where O(threads) vector-clock work
-// per event dominates and the tree substrate's O(subtree-changed)
-// operations pay off.
+// deep grid and the deep clock-parity harness: far past the paper's
+// 2–6 thread examples, into the regime where O(threads) vector-clock
+// work per event dominates.
 var DeepScales = []int{64, 256, 1024}
 
-// DeepFanIn builds the Join-dominated deep-thread workload behind the
-// tree-clock scaling gate: threads workers each pulse their own
+// DeepFanIn builds the Join-dominated deep-thread workload of the lab's
+// deep classes and perfbench's deep-fanin: threads workers each pulse their own
 // variable and then write one shared, unsynchronized hub variable,
 // rounds times. Algorithm A's write step joins the hub's access clock
 // V_a(hub) into the writer's V_i, and V_a(hub) accumulates components

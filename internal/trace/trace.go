@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/mvc"
 )
@@ -97,14 +96,8 @@ func lockName(i int) string { return fmt.Sprintf("#lock%d", i) }
 // relevance policy, returning the completed events in execution order
 // and the emitted messages in emission order.
 func Execute(ops []Op, threads int, policy mvc.Policy) ([]event.Event, []event.Message) {
-	return ExecuteOpts(ops, threads, policy, clock.Options{Repr: clock.DefaultRepr()})
-}
-
-// ExecuteOpts is Execute with an explicit clock substrate, so parity
-// harnesses can replay one workload on flat- and tree-backed trackers.
-func ExecuteOpts(ops []Op, threads int, policy mvc.Policy, copts clock.Options) ([]event.Event, []event.Message) {
 	col := &mvc.Collector{}
-	tr := mvc.NewTrackerOpts(threads, policy, col, copts)
+	tr := mvc.NewTracker(threads, policy, col)
 	events := make([]event.Event, 0, len(ops))
 	for _, op := range ops {
 		e := event.Event{Thread: op.Thread, Kind: op.Kind, Var: op.Var, Value: op.Value}

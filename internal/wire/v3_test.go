@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -18,13 +19,7 @@ import (
 // delta-encodes almost all of them (crossing deltaRefresh boundaries
 // when count is large enough).
 func chainMessages(rng *rand.Rand, threads, count int) []event.Message {
-	return chainMessagesOn(clock.NewTable(), rng, threads, count)
-}
-
-// chainMessagesOn is chainMessages on an explicit table, so the
-// cross-representation test can grow identical chains on flat- and
-// tree-backed substrates.
-func chainMessagesOn(table *clock.Table, rng *rand.Rand, threads, count int) []event.Message {
+	table := clock.NewTable()
 	clocks := make([]clock.Ref, threads)
 	var msgs []event.Message
 	for k := 0; k < count; k++ {
@@ -277,51 +272,88 @@ func TestCorruptedDeltaChainResync(t *testing.T) {
 	}
 }
 
-// TestDeltaCrossRepresentation pins the wire contract the tree-clock
-// substrate must honor: the v3 delta encoding is defined on clock
-// *values* (ascending (index, delta) emission via clock.Diff), so the
-// same message chains grown on a flat-backed and a tree-backed table
-// must serialize to byte-identical session streams — including at deep
-// thread counts where the tree substrate changes every internal
-// representation detail — and both must round-trip to clocks Equal
-// across substrates.
+// TestClockBoundFollowsHello: a receiver bounds every decoded clock by
+// the thread count of the last delivered Hello — a full clock by its
+// count, a delta by its base and by each index it raises.
+func TestClockBoundFollowsHello(t *testing.T) {
+	msg := func(comps ...uint64) event.Message {
+		return event.Message{
+			Event: event.Event{Thread: 0, Index: comps[0], Kind: event.Write, Var: "x", Relevant: true},
+			Clock: clock.Of(comps...),
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		send func(s *Sender)
+	}{
+		{"full clock", func(s *Sender) {
+			s.SendHello(Hello{Threads: 2})
+			s.SendMessage(msg(1, 0, 1))
+		}},
+		{"delta index", func(s *Sender) {
+			s.SendHello(Hello{Threads: 2})
+			s.SendMessage(msg(1))
+			s.SendMessage(msg(2, 0, 1))
+		}},
+		{"delta base", func(s *Sender) {
+			s.SendHello(Hello{Threads: 3})
+			s.SendMessage(msg(1, 0, 1))
+			s.SendHello(Hello{Threads: 1})
+			s.SendMessage(msg(2, 0, 1))
+		}},
+		{"delta index overflow", func(s *Sender) {
+			// One (gap, increment) pair whose gap does not fit an int.
+			s.SendHello(Hello{Threads: 2})
+			p := append(appendEventFields(nil, msg(1)), clockDelta, 0, 1)
+			p = binary.AppendUvarint(p, 1<<63)
+			s.frame(FrameMessage, append(p, 1))
+		}},
+	} {
+		var buf bytes.Buffer
+		s := NewSender(&buf)
+		tc.send(s)
+		if err := s.SendBye(); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReceiver(&buf)
+		var err error
+		for err == nil {
+			_, err = r.Next()
+		}
+		if !errors.Is(err, ErrBadLength) {
+			t.Errorf("%s: err = %v, want ErrBadLength", tc.name, err)
+		}
+	}
+}
+
+// TestDeltaCrossRepresentation pins the wire contract at deep thread
+// counts: the same message chains, up to 1,024 threads wide, encoded
+// once with v3 deltas and once with v2 full clocks, must both
+// round-trip to clocks Equal to the source with identical canonical
+// keys — the delta encoding (ascending (index, delta) emission via
+// clock.Diff) loses nothing a full clock carries.
 func TestDeltaCrossRepresentation(t *testing.T) {
 	for _, tc := range []struct{ threads, count int }{
 		{4, 200},
 		{100, 400},
 		{1024, 600},
 	} {
-		flatMsgs := chainMessagesOn(
-			clock.NewTableOpts(clock.Options{Repr: clock.ReprFlat}),
-			rand.New(rand.NewSource(42)), tc.threads, tc.count)
-		treeMsgs := chainMessagesOn(
-			clock.NewTableOpts(clock.Options{Repr: clock.ReprTree}),
-			rand.New(rand.NewSource(42)), tc.threads, tc.count)
-
-		var flatBuf, treeBuf bytes.Buffer
-		encodeSession(t, NewSender(&flatBuf), tc.threads, flatMsgs)
-		encodeSession(t, NewSender(&treeBuf), tc.threads, treeMsgs)
-		if !bytes.Equal(flatBuf.Bytes(), treeBuf.Bytes()) {
-			t.Fatalf("t%d: flat- and tree-backed sessions differ: %d vs %d bytes",
-				tc.threads, flatBuf.Len(), treeBuf.Len())
-		}
-
-		// Round-trip the (shared) bytes and compare against both
-		// origin substrates: the receiver's interned clocks must be
-		// Equal to flat and tree sources alike.
-		got := drainMessages(t, NewReceiver(&flatBuf))
-		if len(got) != len(flatMsgs) {
-			t.Fatalf("t%d: round-trip returned %d messages, want %d", tc.threads, len(got), len(flatMsgs))
-		}
-		for k := range got {
-			if got[k].Event != flatMsgs[k].Event {
-				t.Fatalf("t%d msg %d: event differs after round-trip", tc.threads, k)
+		msgs := chainMessages(rand.New(rand.NewSource(42)), tc.threads, tc.count)
+		var v3, v2 bytes.Buffer
+		encodeSession(t, NewSender(&v3), tc.threads, msgs)
+		encodeSession(t, NewSenderV2(&v2), tc.threads, msgs)
+		for name, buf := range map[string]*bytes.Buffer{"v3": &v3, "v2": &v2} {
+			got := drainMessages(t, NewReceiver(buf))
+			if len(got) != len(msgs) {
+				t.Fatalf("t%d %s: round-trip returned %d messages, want %d", tc.threads, name, len(got), len(msgs))
 			}
-			if !clock.Equal(got[k].Clock, flatMsgs[k].Clock) || !clock.Equal(got[k].Clock, treeMsgs[k].Clock) {
-				t.Fatalf("t%d msg %d: clock differs after round-trip", tc.threads, k)
-			}
-			if got[k].Clock.Key() != treeMsgs[k].Clock.Key() {
-				t.Fatalf("t%d msg %d: canonical key differs across substrates", tc.threads, k)
+			for k := range got {
+				if got[k].Event != msgs[k].Event {
+					t.Fatalf("t%d %s msg %d: event differs after round-trip", tc.threads, name, k)
+				}
+				if !clock.Equal(got[k].Clock, msgs[k].Clock) || got[k].Clock.Key() != msgs[k].Clock.Key() {
+					t.Fatalf("t%d %s msg %d: clock differs after round-trip", tc.threads, name, k)
+				}
 			}
 		}
 	}

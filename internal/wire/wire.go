@@ -119,7 +119,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // arrives, so an unchecked count from a peer could exhaust the
 // observer's memory; decoding rejects a count below 1 or above this
 // bound as a malformed frame. It is 64x the largest program in use
-// (progs.DeepFanIn at 1,024 threads).
+// (progs.DeepFanIn at 1,024 threads). A receiver bounds each decoded
+// clock's length by the Hello's thread count, and by MaxThreads before
+// a Hello arrives and in the stateless DecodeMessage.
 const MaxThreads = 1 << 16
 
 // Hello is the session-opening frame payload.
@@ -171,9 +173,6 @@ func getVarint(buf []byte) (int64, int, error) {
 func msgErr(off int, field string, err error) error {
 	return &FrameError{Kind: FrameMessage, Offset: int64(off), Field: field, Err: err}
 }
-
-// maxClockComponents guards clock lengths against corrupt counts.
-const maxClockComponents = 1 << 20
 
 // appendEventFields encodes the event portion of a message, shared by
 // both protocol versions. Channel events additionally carry their FIFO
@@ -301,15 +300,16 @@ func decodeEventFields(buf []byte) (event.Message, int, error) {
 	return m, off, nil
 }
 
-// decodeClockFull decodes a full clock into scratch (reused across
-// calls), returning the components, bytes consumed, and the new
-// scratch capacity.
-func decodeClockFull(buf []byte, off int, scratch []uint64) (comps []uint64, n int, err error) {
+// decodeClockFull decodes a full clock of at most limit components
+// into scratch (reused across calls), returning the components and the
+// bytes consumed. A longer count fails with ErrBadLength before
+// anything is allocated.
+func decodeClockFull(buf []byte, off int, scratch []uint64, limit int) (comps []uint64, n int, err error) {
 	count, cn, err := getUvarint(buf[off:])
 	if err != nil {
 		return nil, 0, msgErr(off, "clock length", err)
 	}
-	if count > maxClockComponents {
+	if count > uint64(limit) {
 		return nil, 0, msgErr(off, "clock length", ErrBadLength)
 	}
 	pos := off + cn
@@ -347,7 +347,7 @@ func DecodeMessage(buf []byte) (event.Message, int, error) {
 	off++
 	switch mode {
 	case clockFull:
-		comps, n, err := decodeClockFull(buf, off, nil)
+		comps, n, err := decodeClockFull(buf, off, nil, MaxThreads)
 		if err != nil {
 			return m, 0, err
 		}
@@ -367,7 +367,7 @@ func DecodeMessageV2(buf []byte) (event.Message, int, error) {
 	if err != nil {
 		return m, 0, err
 	}
-	comps, n, err := decodeClockFull(buf, off, nil)
+	comps, n, err := decodeClockFull(buf, off, nil, MaxThreads)
 	if err != nil {
 		return m, 0, err
 	}
@@ -631,13 +631,17 @@ type Receiver struct {
 	missing map[uint64]struct{}
 
 	// Clock decoding state. version is what the Hello announced (until
-	// one arrives, the current version is assumed). table interns every
+	// one arrives, the current version is assumed). threads bounds every
+	// decoded clock's length: the Hello's thread count once one was
+	// delivered, MaxThreads before, so a peer cannot make the session
+	// hold clocks naming threads it never announced. table interns every
 	// clock of the session, so equal clock values decode to the same
 	// node; last holds, per thread, the clock of the last *delivered*
 	// message — the base a v3 delta chains to. It is committed only on
 	// delivery (in Next), never during candidate parsing, so corrupt or
 	// duplicate frames cannot poison the chain.
 	version    int
+	threads    int
 	table      *clock.Table
 	last       map[int]clock.Ref
 	clkScratch []uint64
@@ -666,6 +670,7 @@ func NewReceiver(r io.Reader) *Receiver {
 		r:       r,
 		missing: map[uint64]struct{}{},
 		version: ProtocolVersion,
+		threads: MaxThreads,
 		table:   clock.NewTable(),
 		last:    map[int]clock.Ref{},
 	}
@@ -892,6 +897,7 @@ func (r *Receiver) Next() (Frame, error) {
 			return f, ErrClosed
 		case FrameHello:
 			r.version = f.Hello.Version
+			r.threads = f.Hello.Threads
 		case FrameMessage:
 			// Commit the delta base only on delivery: a rejected frame
 			// never advances the chain.
@@ -977,7 +983,7 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 		return m, err
 	}
 	if r.version == ProtocolVersionV2 {
-		comps, _, err := decodeClockFull(payload, off, r.clkScratch)
+		comps, _, err := decodeClockFull(payload, off, r.clkScratch, r.threads)
 		if err != nil {
 			return m, err
 		}
@@ -992,7 +998,7 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 	off++
 	switch mode {
 	case clockFull:
-		comps, _, err := decodeClockFull(payload, off, r.clkScratch)
+		comps, _, err := decodeClockFull(payload, off, r.clkScratch, r.threads)
 		if err != nil {
 			return m, err
 		}
@@ -1006,6 +1012,9 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 		}
 		off += n
 		prev := r.last[m.Event.Thread]
+		if prev.Len() > r.threads {
+			return m, msgErr(off, "clock delta base", ErrBadLength)
+		}
 		if prev.Get(m.Event.Thread) != prevOwn {
 			return m, msgErr(off, "clock delta base", fmt.Errorf("%w: thread %d chained to own component %d, have %d",
 				ErrDeltaChain, m.Event.Thread, prevOwn, prev.Get(m.Event.Thread)))
@@ -1014,7 +1023,7 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 		if err != nil {
 			return m, msgErr(off, "clock delta count", err)
 		}
-		if count > maxClockComponents {
+		if count > uint64(r.threads) {
 			return m, msgErr(off, "clock delta count", ErrBadLength)
 		}
 		off += n
@@ -1034,12 +1043,13 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 				return m, msgErr(off, "clock delta increment", err)
 			}
 			off += n
-			if k == 0 {
-				idx = int(gap)
-			} else {
-				idx += int(gap) + 1
+			// Checking gap first keeps idx from overflowing: both stay
+			// below r.threads.
+			if gap >= uint64(r.threads) {
+				return m, msgErr(off, "clock delta index", ErrBadLength)
 			}
-			if idx > maxClockComponents {
+			idx += int(gap) + 1
+			if idx >= r.threads {
 				return m, msgErr(off, "clock delta index", ErrBadLength)
 			}
 			for len(comps) <= idx {

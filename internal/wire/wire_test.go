@@ -55,7 +55,9 @@ func TestMessageCodecTruncation(t *testing.T) {
 func TestSessionRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSender(&buf)
-	hello := Hello{Threads: 2, Initial: logic.StateFromMap(map[string]int64{"x": -1, "y": 0})}
+	// Three threads: the last sample message is thread 2's, and a
+	// receiver rejects a clock longer than the announced thread count.
+	hello := Hello{Threads: 3, Initial: logic.StateFromMap(map[string]int64{"x": -1, "y": 0})}
 	if err := s.SendHello(hello); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	if err != nil || f.Kind != FrameHello {
 		t.Fatalf("first frame: %v %v", f, err)
 	}
-	if f.Hello.Threads != 2 {
+	if f.Hello.Threads != 3 {
 		t.Fatalf("threads = %d", f.Hello.Threads)
 	}
 	if v, _ := f.Hello.Initial.Lookup("x"); v != -1 {

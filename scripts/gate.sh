@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Unified release gate: runs every gate in the catalogue — build, the
 # deep lattice differential harness, the clock-allocation gate, the
-# tree-clock scaling gate, the telemetry-overhead gate, the daemon smoke, the crash-durability gate,
+# telemetry-overhead gate, the daemon smoke, the crash-durability gate,
 # and the gompaxlab accuracy gate — and prints one pass/fail summary
 # table. Exits nonzero when any gate fails.
 #
@@ -53,7 +53,6 @@ run_gate() {
 run_gate build     "$GO" build ./...
 run_gate lattice   env GOMPAX_LAB_CASES="$CASES" "$GO" test -count=1 ./internal/lattice/latticecheck/
 run_gate clock     env GOMPAX_CLOCK_GATE=1 "$GO" test -count=1 -run TestClockAllocGate .
-run_gate treeclock env GOMPAX_TREECLOCK_GATE=1 "$GO" test -count=1 -run TestTreeClockGate .
 run_gate telemetry env GOMPAX_TELEMETRY_GATE=1 "$GO" test -count=1 -run TestTelemetryOverheadGate .
 run_gate serve     env GO="$GO" bash scripts/serve_smoke.sh
 run_gate crash     env GO="$GO" bash scripts/crash_smoke.sh
