@@ -398,9 +398,15 @@ func benchPulses(pulses int) (*lattice.Computation, []event.Message, *monitor.Pr
 // BenchmarkExploreViolating times both analyzers on a lattice with a
 // violation on every fourth cut (benchPulses(48): 9,409 cuts, 2,304
 // violating): offline Analyze, and the online analyzer fed the same
-// messages in thread order.
+// messages in thread order. The interval/ rows run the same lattice
+// under !(v0 = 1 /\ v1 = 1) \/ [v0 = 1, v1 = 1), whose interval bit
+// puts a second monitor state on some cuts.
 func BenchmarkExploreViolating(b *testing.B) {
 	comp, msgs, prog, err := benchPulses(48)
+	if err != nil {
+		b.Fatal(err)
+	}
+	interval, err := monitor.Compile(logic.MustParseFormula(`!(v0 = 1 /\ v1 = 1) \/ [v0 = 1, v1 = 1)`))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,40 +414,45 @@ func BenchmarkExploreViolating(b *testing.B) {
 		b.ReportMetric(float64(res.Stats.Cuts), "cuts")
 		b.ReportMetric(float64(len(res.Violations)), "violations")
 	}
-	b.Run("offline", func(b *testing.B) {
-		b.ReportAllocs()
-		var res predict.Result
-		for i := 0; i < b.N; i++ {
-			if res, err = predict.Analyze(prog, comp, predict.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, res)
-	})
-	b.Run("online", func(b *testing.B) {
-		b.ReportAllocs()
-		var res predict.Result
-		for i := 0; i < b.N; i++ {
-			o, err := predict.NewOnline(prog, comp.Initial(), 2, predict.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, m := range msgs {
-				if err := o.Feed(m); err != nil {
+	for _, spec := range []struct {
+		prefix string
+		prog   *monitor.Program
+	}{{"", prog}, {"interval/", interval}} {
+		b.Run(spec.prefix+"offline", func(b *testing.B) {
+			b.ReportAllocs()
+			var res predict.Result
+			for i := 0; i < b.N; i++ {
+				if res, err = predict.Analyze(spec.prog, comp, predict.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			for t := 0; t < 2; t++ {
-				if err := o.FinishThread(t); err != nil {
+			report(b, res)
+		})
+		b.Run(spec.prefix+"online", func(b *testing.B) {
+			b.ReportAllocs()
+			var res predict.Result
+			for i := 0; i < b.N; i++ {
+				o, err := predict.NewOnline(spec.prog, comp.Initial(), 2, predict.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, m := range msgs {
+					if err := o.Feed(m); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for t := 0; t < 2; t++ {
+					if err := o.FinishThread(t); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if res, err = o.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if res, err = o.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, res)
-	})
+			report(b, res)
+		})
+	}
 }
 
 // --- Ablation: all-runs-in-parallel vs per-run checking --------------------

@@ -13,8 +13,11 @@ import (
 // verdict the monitor produces on that step.
 //
 // The FSM is primarily a debugging and documentation artifact (it can
-// be rendered with DOT); the analyzers use the bit-state monitors
-// directly, which behave identically (see TestFSMEquivalence).
+// be rendered with DOT). The analyzers never build it whole: the
+// lattice level step memoizes the transitions it takes, keyed by
+// (monitor key, symbol), for one level at a time, and steps the
+// bit-state monitor (StepBits) only on a memo miss; both behave
+// identically (see TestFSMEquivalence).
 type FSM struct {
 	// Atoms are the predicate strings, index-aligned with symbol bits:
 	// symbol s assigns Atoms[i] the truth value of bit i of s.
@@ -51,7 +54,6 @@ func BuildFSM(p *Program, maxStates int) (*FSM, error) {
 	index := map[uint64]int{m.Key(): 0}
 	f.Keys = []uint64{m.Key()}
 	queue := []uint64{m.Key()}
-	vals := make([]bool, len(p.atoms))
 
 	for len(queue) > 0 {
 		key := queue[0]
@@ -59,11 +61,8 @@ func BuildFSM(p *Program, maxStates int) (*FSM, error) {
 		trans := make([]int, nsym)
 		verdicts := make([]Verdict, nsym)
 		for sym := 0; sym < nsym; sym++ {
-			for i := range vals {
-				vals[i] = sym&(1<<i) != 0
-			}
 			m.Restore(key)
-			verdicts[sym] = m.StepAtoms(vals)
+			verdicts[sym] = m.StepBits(uint64(sym))
 			nk := m.Key()
 			to, ok := index[nk]
 			if !ok {
@@ -97,17 +96,6 @@ func (f *FSM) Run(symbols []int) int {
 		s = f.Trans[s][sym]
 	}
 	return -1
-}
-
-// SymbolFor packs atom truth values into a symbol.
-func (f *FSM) SymbolFor(vals []bool) int {
-	sym := 0
-	for i, v := range vals {
-		if v {
-			sym |= 1 << i
-		}
-	}
-	return sym
 }
 
 // DOT renders the FSM for Graphviz. Transitions are labelled with the

@@ -53,12 +53,8 @@ func TestFSMEquivalence(t *testing.T) {
 		m := prog.NewMonitor()
 		state := 0
 		for step := 0; step < 24; step++ {
-			vals := make([]bool, len(prog.Atoms()))
-			for i := range vals {
-				vals[i] = rng.Intn(2) == 0
-			}
-			direct := m.StepAtoms(vals)
-			sym := fsm.SymbolFor(vals)
+			sym := rng.Intn(1 << len(prog.Atoms()))
+			direct := m.StepBits(uint64(sym))
 			viaFSM := fsm.Verdicts[state][sym]
 			if direct != viaFSM {
 				t.Fatalf("iter %d step %d: formula %q: monitor %v, FSM %v", iter, step, formula, direct, viaFSM)

@@ -81,6 +81,11 @@ type Program struct {
 // bit is reserved for the started flag).
 const MaxTemporalSubformulas = 63
 
+// MaxAtoms bounds the number of distinct atomic predicates a formula
+// may contain so one state's atom valuation fits in a single uint64
+// (AtomBits).
+const MaxAtoms = 64
+
 // Compile translates a formula into an evaluation program.
 func Compile(f logic.Formula) (*Program, error) {
 	p := &Program{formula: f, varNames: logic.Vars(f)}
@@ -176,6 +181,9 @@ func (p *Program) build(f logic.Formula) (int, error) {
 	if p.bits > MaxTemporalSubformulas {
 		return 0, fmt.Errorf("monitor: formula has more than %d temporal subformulas", MaxTemporalSubformulas)
 	}
+	if len(p.atoms) > MaxAtoms {
+		return 0, fmt.Errorf("monitor: formula has more than %d distinct atomic predicates", MaxAtoms)
+	}
 	p.nodes = append(p.nodes, n)
 	return len(p.nodes) - 1, nil
 }
@@ -226,13 +234,26 @@ func (p *Program) TemporalBits() int { return p.bits }
 // through these atoms' truth values.
 func (p *Program) Atoms() []logic.Pred { return append([]logic.Pred(nil), p.atoms...) }
 
+// AtomBits evaluates the program's atomic predicates in env and packs
+// their truth values into one word: bit i holds Atoms()[i]. The
+// monitor depends on a state only through this word (StepBits).
+func (p *Program) AtomBits(env logic.Env) (uint64, error) {
+	var bits uint64
+	for i, a := range p.atoms {
+		v, err := a.Holds(env)
+		if err != nil {
+			return 0, err
+		}
+		if v {
+			bits |= 1 << uint(i)
+		}
+	}
+	return bits, nil
+}
+
 // NewMonitor returns a fresh monitor in the pre-initial state.
 func (p *Program) NewMonitor() *Monitor {
-	return &Monitor{
-		prog:     p,
-		scratch:  make([]bool, len(p.nodes)),
-		atomVals: make([]bool, len(p.atoms)),
-	}
+	return &Monitor{prog: p, scratch: make([]bool, len(p.nodes))}
 }
 
 const startedBit = 63
@@ -242,20 +263,14 @@ const startedBit = 63
 // (Key), which the predictive analyzer relies on when it runs one
 // monitor per path through the computation lattice.
 type Monitor struct {
-	prog     *Program
-	state    uint64 // temporal bits, plus startedBit once Step has run
-	scratch  []bool // per-node evaluation buffer, reused across steps
-	atomVals []bool // per-atom evaluation buffer
+	prog    *Program
+	state   uint64 // temporal bits, plus startedBit once Step has run
+	scratch []bool // per-node evaluation buffer, reused across steps
 }
 
 // Clone returns an independent monitor with the same state.
 func (m *Monitor) Clone() *Monitor {
-	return &Monitor{
-		prog:     m.prog,
-		state:    m.state,
-		scratch:  make([]bool, len(m.prog.nodes)),
-		atomVals: make([]bool, len(m.prog.atoms)),
-	}
+	return &Monitor{prog: m.prog, state: m.state, scratch: make([]bool, len(m.prog.nodes))}
 }
 
 // Key returns the monitor's complete state; two monitors of the same
@@ -271,23 +286,21 @@ func (m *Monitor) Restore(key uint64) { m.state = key }
 func (m *Monitor) bit(i int) bool { return m.state&(1<<uint(i)) != 0 }
 
 // Step advances the monitor into the next state of the run and returns
-// the formula's verdict there.
+// the formula's verdict there: AtomBits followed by StepBits.
 func (m *Monitor) Step(env logic.Env) (Verdict, error) {
-	for i, a := range m.prog.atoms {
-		v, err := a.Holds(env)
-		if err != nil {
-			return Violated, err
-		}
-		m.atomVals[i] = v
+	bits, err := m.prog.AtomBits(env)
+	if err != nil {
+		return Violated, err
 	}
-	return m.StepAtoms(m.atomVals), nil
+	return m.StepBits(bits), nil
 }
 
-// StepAtoms advances the monitor given the truth values of the
-// program's atomic predicates (in Atoms() order). The monitor's
-// behaviour is fully determined by these values, which is what makes
-// the explicit FSM construction (BuildFSM) possible.
-func (m *Monitor) StepAtoms(atomVals []bool) Verdict {
+// StepBits advances the monitor given the state's atom valuation as
+// AtomBits packs it (bit i holds Atoms()[i]). The monitor's behaviour
+// is fully determined by this word, which is what makes the explicit
+// FSM construction (BuildFSM) and the lattice level step's per-level
+// transition memo possible.
+func (m *Monitor) StepBits(bits uint64) Verdict {
 	cur := m.scratch
 	started := m.Started()
 	for i, nd := range m.prog.nodes {
@@ -295,7 +308,7 @@ func (m *Monitor) StepAtoms(atomVals []bool) Verdict {
 		case nLit:
 			cur[i] = nd.lit
 		case nPred:
-			cur[i] = atomVals[nd.atom]
+			cur[i] = bits&(1<<uint(nd.atom)) != 0
 		case nNot:
 			cur[i] = !cur[nd.c1]
 		case nAnd:

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -43,6 +44,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			t.Fatalf("reference eval %q: %v", f, err)
 		}
 		m := prog.NewMonitor()
+		// bm takes the lattice level step's path: the state's atoms
+		// packed once, then a step on the word alone.
+		bm := prog.NewMonitor()
 		for i, s := range trace {
 			v, err := m.Step(s)
 			if err != nil {
@@ -52,6 +56,14 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			if got != want[i] {
 				t.Fatalf("formula %q at step %d: monitor %v, reference %v\ntrace: %v",
 					f, i, got, want[i], trace)
+			}
+			bits, err := prog.AtomBits(s)
+			if err != nil {
+				t.Fatalf("atoms at step %d of %q: %v", i, f, err)
+			}
+			if bv := bm.StepBits(bits); bv != v || bm.Key() != m.Key() {
+				t.Fatalf("formula %q at step %d: StepBits gave %v key %#x, Step %v key %#x",
+					f, i, bv, bm.Key(), v, m.Key())
 			}
 		}
 	}
@@ -210,11 +222,62 @@ func TestCompileTooManyTemporalOps(t *testing.T) {
 	}
 }
 
+// TestCompileTooManyAtoms: one valuation bit per atom, so a formula
+// with more than MaxAtoms distinct atoms is rejected at compile time,
+// and one with exactly MaxAtoms steps on its last atom, the word's top
+// bit.
+func TestCompileTooManyAtoms(t *testing.T) {
+	// atoms(n) is n distinct atoms: n-1 that hold for every x >= 0,
+	// then x < 5, which alone decides the verdict.
+	atoms := func(n int) string {
+		var parts []string
+		for i := 1; i < n; i++ {
+			parts = append(parts, fmt.Sprintf("x > -%d", i))
+		}
+		return strings.Join(append(parts, "x < 5"), " /\\ ")
+	}
+	_, err := Compile(logic.MustParseFormula(atoms(MaxAtoms + 1)))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxAtoms)) {
+		t.Fatalf("%d atoms: want an error naming the limit %d, got %v", MaxAtoms+1, MaxAtoms, err)
+	}
+	prog, err := Compile(logic.MustParseFormula(atoms(MaxAtoms)))
+	if err != nil {
+		t.Fatalf("%d atoms: %v", MaxAtoms, err)
+	}
+	if got := len(prog.Atoms()); got != MaxAtoms {
+		t.Fatalf("compiled %d atoms, want %d", got, MaxAtoms)
+	}
+	for _, tc := range []struct {
+		x    int64
+		bits uint64
+		want Verdict
+	}{
+		{4, ^uint64(0), Satisfied},
+		{5, ^uint64(0) >> 1, Violated},
+	} {
+		s := logic.StateFromMap(map[string]int64{"x": tc.x})
+		bits, err := prog.AtomBits(s)
+		if err != nil || bits != tc.bits {
+			t.Fatalf("x = %d: AtomBits = %#x, %v; want %#x", tc.x, bits, err, tc.bits)
+		}
+		if v, err := prog.NewMonitor().Step(s); err != nil || v != tc.want {
+			t.Fatalf("x = %d: Step = %v, %v; want %v", tc.x, v, err, tc.want)
+		}
+		if v := prog.NewMonitor().StepBits(bits); v != tc.want {
+			t.Fatalf("x = %d: StepBits = %v, want %v", tc.x, v, tc.want)
+		}
+	}
+}
+
 func TestStepErrorOnUnboundVariable(t *testing.T) {
 	prog := MustCompile(logic.MustParseFormula("q = 1"))
 	m := prog.NewMonitor()
-	if _, err := m.Step(logic.StateFromMap(map[string]int64{"x": 0})); err == nil {
+	s := logic.StateFromMap(map[string]int64{"x": 0})
+	if _, err := m.Step(s); err == nil {
 		t.Fatalf("expected unbound-variable error")
+	}
+	if _, err := prog.AtomBits(s); err == nil {
+		t.Fatalf("expected unbound-variable error from AtomBits")
 	}
 }
 

@@ -24,18 +24,27 @@ import (
 //   - Level-scoped cut identity: a cut lives on exactly one level, so
 //     only that level's map knows it. No clock table holds cut clocks,
 //     and a retired level's cuts are garbage at the barrier.
+//   - One transition per valuation: a cut's atoms are evaluated once,
+//     when the first pair steps into it, and each distinct (monitor
+//     key, atom valuation) transition is computed once per level. The
+//     transition memo is cleared at the barrier, so like the level
+//     map it never outlives a level.
 //   - Set semantics: the set of cuts per level, the set of monitor
 //     states per cut, and the set of violating cuts are pure functions
 //     of the computation and formula, so they are identical whatever
 //     order the events were delivered in.
 //   - Deterministic reports: every representative path (one per
 //     monitor state of a cut, one per violating cut) is the
-//     canonically least candidate, and the sealed level is sorted by
-//     cut clock, so the output does not depend on the order parents
-//     are expanded in.
+//     canonically least candidate, and a level's violating cuts are
+//     reported sorted by cut clock, so the output does not depend on
+//     the order parents are expanded in. The sealed level itself is in
+//     creation order, a deterministic function of the previous
+//     level's order.
 
 // pentry is one frontier cut: its per-thread event counts, the global
-// state there, and the monitor states reachable at it.
+// state there, its atom valuation and the monitor states reachable at
+// it. It is 128 bytes, exactly one allocation size class
+// (TestPentrySizeClass).
 type pentry struct {
 	counts clock.Ref
 	state  logic.State
@@ -48,9 +57,11 @@ type pentry struct {
 	// viol is non-nil at a cut where some monitor state steps to
 	// Violated: the cut is the violation's identity.
 	viol *violRep
-	// alias chains the cuts of the level being sealed that share a
-	// digest; nil but on a digest collision.
-	alias *pentry
+	// bits is the formula's atom valuation at the cut
+	// (monitor.Program.AtomBits), set when the first pair steps into
+	// the cut. Every stepped pair leaves a key or a violation behind,
+	// so bits is valid exactly when keys or viol is set.
+	bits uint64
 }
 
 // mstate is one monitor state of a cut and its representative path.
@@ -68,14 +79,26 @@ type violRep struct {
 	path []int
 }
 
+// memoKey keys the level's transition memo: a pre-step monitor key and
+// the atom valuation of the cut it steps into.
+type memoKey struct{ key, bits uint64 }
+
+// transition is one memoized monitor step: the post-step key and
+// whether the step violated.
+type transition struct {
+	next     uint64
+	violated bool
+}
+
 // levelOut is one sealed level.
 type levelOut struct {
-	next      []*pentry // the new frontier, sorted by cut clock
-	newCuts   int       // distinct cuts built this level
-	pairs     int       // (cut, monitor state) pairs stepped
-	pairWidth int       // pairs alive in the sealed level
-	edges     int       // successor edges expanded (edges-newCuts = dedup hits)
-	violated  int       // violating pairs stepped (a cut may count several)
+	next        []*pentry // the new frontier, in creation order
+	newCuts     int       // distinct cuts built this level
+	pairs       int       // (cut, monitor state) pairs stepped
+	transitions int       // monitor transitions computed (memo misses)
+	pairWidth   int       // pairs alive in the sealed level
+	edges       int       // successor edges expanded (edges-newCuts = dedup hits)
+	violated    int       // violating pairs stepped (a cut may count several)
 }
 
 // cutDigest keys the level map: the digest of a parent's successor
@@ -86,13 +109,21 @@ var cutDigest = clock.TickDigest
 // successors are found or built, monitor states stepped and merged,
 // and violating cuts marked. A successor's digest is looked up before
 // anything is built; a hit is confirmed by value (clock.IsTick), and
-// only a cut new to the level gets a node and a state. It returns only
-// after every successor is done (the level barrier), with the new
-// frontier sorted by cut clock.
+// only a cut new to the level gets a node and a state. Cuts whose
+// digest is already taken go to a spill map, made only on such a
+// collision. It returns only after every successor is done (the level
+// barrier), with the new frontier in creation order.
 func (o *Online) expandLevel() (levelOut, error) {
 	var out levelOut
 	var err error
 	next := make(map[uint64]*pentry, len(o.frontier))
+	var spill map[uint64][]*pentry
+	if o.memo == nil {
+		o.memo = make(map[memoKey]transition)
+	} else {
+		clear(o.memo)
+	}
+	level := o.cuts[:0]
 	for _, ent := range o.frontier {
 		o.expandSuccessors(ent, func(thread, index int, m *event.Message) {
 			if err != nil {
@@ -102,30 +133,52 @@ func (o *Online) expandLevel() (levelOut, error) {
 			d := cutDigest(ent.counts, thread)
 			head := next[d]
 			tgt := head
-			for tgt != nil && !clock.IsTick(tgt.counts, ent.counts, thread) {
-				tgt = tgt.alias
+			if tgt != nil && !clock.IsTick(tgt.counts, ent.counts, thread) {
+				tgt = findTick(spill[d], ent.counts, thread)
 			}
 			if tgt == nil {
 				tgt = newEntry(clock.Tick(ent.counts, thread), applyMessage(ent.state, *m))
-				tgt.alias = head
-				next[d] = tgt
-				out.newCuts++
+				if head == nil {
+					next[d] = tgt
+				} else {
+					if spill == nil {
+						spill = make(map[uint64][]*pentry)
+					}
+					spill[d] = append(spill[d], tgt)
+				}
+				level = append(level, tgt)
 			}
-			err = out.step(o.scratch, ent, tgt, pathID(thread, index), o.opts.Counterexamples)
+			err = o.step(&out, ent, tgt, pathID(thread, index))
 		})
 		if err != nil {
-			return out, err
+			break
 		}
 	}
-	out.next = make([]*pentry, 0, out.newCuts)
-	for _, e := range next {
-		for ; e != nil; e = e.alias {
-			out.next = append(out.next, e)
-			out.pairWidth += len(e.keys)
+	out.newCuts = len(level)
+	out.next = slices.Clone(level)
+	for _, e := range out.next {
+		out.pairWidth += len(e.keys)
+	}
+	o.cuts = release(level)
+	return out, err
+}
+
+// findTick returns the cut among cands that equals r with component i
+// raised by one, or nil.
+func findTick(cands []*pentry, r clock.Ref, i int) *pentry {
+	for _, c := range cands {
+		if clock.IsTick(c.counts, r, i) {
+			return c
 		}
 	}
-	slices.SortFunc(out.next, func(a, b *pentry) int { return clock.Compare(a.counts, b.counts) })
-	return out, nil
+	return nil
+}
+
+// release empties a reused cut buffer, dropping its pointers so it
+// keeps no retired cut alive.
+func release(buf []*pentry) []*pentry {
+	clear(buf)
+	return buf[:0]
 }
 
 func newEntry(counts clock.Ref, state logic.State) *pentry {
@@ -134,27 +187,42 @@ func newEntry(counts clock.Ref, state logic.State) *pentry {
 	return e
 }
 
-// step steps every monitor state of ent across one edge into tgt. A
-// surviving state is merged into tgt's key set; a violating one marks
-// tgt as a violating cut and is not propagated (every extension of a
-// violating run prefix is already reported at its shortest witness).
-// Both keep the canonically least representative, so the result does
-// not depend on the order parents are expanded in.
-func (out *levelOut) step(scratch *monitor.Monitor, ent, tgt *pentry, edge int, paths bool) error {
-	for _, ms := range ent.keys {
-		scratch.Restore(ms.key)
-		// A pointer Env: stepping a State value would box a copy per
-		// pair.
-		verdict, err := scratch.Step(&tgt.state)
+// step steps every monitor state of ent across one edge into tgt. The
+// first pair into tgt evaluates its atoms; each pair then takes its
+// transition from the level's memo, stepping the monitor only on a
+// miss. A surviving state is merged into tgt's key set; a violating
+// one marks tgt as a violating cut and is not propagated (every
+// extension of a violating run prefix is already reported at its
+// shortest witness). Both keep the canonically least representative,
+// so the result does not depend on the order parents are expanded in.
+func (o *Online) step(out *levelOut, ent, tgt *pentry, edge int) error {
+	if len(ent.keys) == 0 {
+		return nil
+	}
+	if len(tgt.keys) == 0 && tgt.viol == nil {
+		// A pointer Env: evaluating a State value would box a copy.
+		bits, err := o.prog.AtomBits(&tgt.state)
 		if err != nil {
 			return err
 		}
+		tgt.bits = bits
+	}
+	paths := o.opts.Counterexamples
+	for _, ms := range ent.keys {
+		mk := memoKey{ms.key, tgt.bits}
+		tr, ok := o.memo[mk]
+		if !ok {
+			o.scratch.Restore(ms.key)
+			tr.violated = o.scratch.StepBits(tgt.bits) == monitor.Violated
+			tr.next = o.scratch.Key()
+			o.memo[mk] = tr
+			out.transitions++
+		}
 		out.pairs++
-		violated := verdict == monitor.Violated
-		if violated {
+		if tr.violated {
 			out.violated++
 		}
-		tgt.merge(violated, ms.key, scratch.Key(), extendPath(paths, ms.path, edge), paths)
+		tgt.merge(tr.violated, ms.key, tr.next, extendPath(paths, ms.path, edge), paths)
 	}
 	return nil
 }

@@ -6,16 +6,19 @@ import (
 
 // Telemetry for lattice exploration. The hot loops never touch these
 // metrics directly: the level step accumulates per-level tallies (new
-// cuts, stepped pairs, successor edges, violating pairs) in plain ints,
-// and the level driver flushes them here once per sealed level — a
-// handful of atomic adds per level, zero per-edge cost. The live gauges
-// therefore track the analysis level by level, which is exactly the
-// granularity the paper's online construction works at.
+// cuts, stepped pairs, computed transitions, successor edges,
+// violating pairs) in plain ints, and the level driver flushes them
+// here once per sealed level — a handful of atomic adds per level,
+// zero per-edge cost. The live gauges therefore track the analysis
+// level by level, which is exactly the granularity the paper's online
+// construction works at.
 var (
 	mCuts = telemetry.Default().NewCounter("gompax_lattice_cuts_total",
 		"Distinct consistent cuts explored across all analyses.")
 	mPairs = telemetry.Default().NewCounter("gompax_lattice_pairs_total",
 		"(cut, monitor state) pairs stepped across all analyses.")
+	mTransitions = telemetry.Default().NewCounter("gompax_lattice_transitions_total",
+		"Monitor transitions computed; every other stepped pair reused one from its level's memo.")
 	mEdges = telemetry.Default().NewCounter("gompax_lattice_edges_total",
 		"Successor edges expanded (consistent single-event extensions).")
 	mDedupHits = telemetry.Default().NewCounter("gompax_lattice_dedup_hits_total",
@@ -37,10 +40,11 @@ var (
 )
 
 // flushRootTelemetry records the root level (one cut, one stepped
-// pair) when an analysis starts.
+// pair, one computed transition) when an analysis starts.
 func flushRootTelemetry(violated bool) {
 	mCuts.Inc()
 	mPairs.Inc()
+	mTransitions.Inc()
 	mEdges.Add(0)
 	mLevels.Inc()
 	mLevelWidth.Set(1)
@@ -53,12 +57,14 @@ func flushRootTelemetry(violated bool) {
 
 // flushLevelTelemetry records one sealed lattice level: width cuts and
 // pairWidth surviving pairs alive, newCuts freshly built, pairs
-// monitor steps taken, edges successor extensions expanded (so
-// edges-newCuts is the level's dedup-hit count), and violated
-// violating pairs found (pre-dedup).
-func flushLevelTelemetry(width, pairWidth, newCuts, pairs, edges, violated int) {
+// stepped, transitions of them computed rather than taken from the
+// level's memo, edges successor extensions expanded (so edges-newCuts
+// is the level's dedup-hit count), and violated violating pairs found
+// (pre-dedup).
+func flushLevelTelemetry(width, pairWidth, newCuts, pairs, transitions, edges, violated int) {
 	mCuts.Add(uint64(newCuts))
 	mPairs.Add(uint64(pairs))
+	mTransitions.Add(uint64(transitions))
 	mEdges.Add(uint64(edges))
 	mDedupHits.Add(uint64(edges - newCuts))
 	mLevels.Inc()

@@ -17,28 +17,30 @@ import (
 // pure function of (computation, formula) — identical in both
 // analyzers.
 type counterTotals struct {
-	cuts, pairs, edges, dedup, levels, viols uint64
+	cuts, pairs, transitions, edges, dedup, levels, viols uint64
 }
 
 func snapshotTotals() counterTotals {
 	return counterTotals{
-		cuts:   mCuts.Value(),
-		pairs:  mPairs.Value(),
-		edges:  mEdges.Value(),
-		dedup:  mDedupHits.Value(),
-		levels: mLevels.Value(),
-		viols:  mViolations.Value(),
+		cuts:        mCuts.Value(),
+		pairs:       mPairs.Value(),
+		transitions: mTransitions.Value(),
+		edges:       mEdges.Value(),
+		dedup:       mDedupHits.Value(),
+		levels:      mLevels.Value(),
+		viols:       mViolations.Value(),
 	}
 }
 
 func (a counterTotals) sub(b counterTotals) counterTotals {
 	return counterTotals{
-		cuts:   a.cuts - b.cuts,
-		pairs:  a.pairs - b.pairs,
-		edges:  a.edges - b.edges,
-		dedup:  a.dedup - b.dedup,
-		levels: a.levels - b.levels,
-		viols:  a.viols - b.viols,
+		cuts:        a.cuts - b.cuts,
+		pairs:       a.pairs - b.pairs,
+		transitions: a.transitions - b.transitions,
+		edges:       a.edges - b.edges,
+		dedup:       a.dedup - b.dedup,
+		levels:      a.levels - b.levels,
+		viols:       a.viols - b.viols,
 	}
 }
 
@@ -114,13 +116,14 @@ func runOnlineMode(t *testing.T, prog *monitor.Program, initial logic.State, thr
 
 // TestCounterTotalsIdenticalAcrossModes: both explorer modes (offline
 // and online) must flush identical counter totals for the same trace —
-// cuts, pairs, edges, dedup hits, levels and violating pairs are
-// properties of the computation, not of the delivery order — and
-// report the same violations and statistics. Violations are identified
-// by their cut: on the pulse fixture two monitor states violate at
-// every cut where both flags are up, and each such cut is still
-// reported once. Deliberately not parallel: it reads deltas of the
-// process-wide counters, and Go runs non-parallel tests exclusively.
+// cuts, pairs, computed transitions, edges, dedup hits, levels and
+// violating pairs are properties of the computation, not of the
+// delivery order — and report the same violations and statistics.
+// Violations are identified by their cut: on the pulse fixture two
+// monitor states violate at every cut where both flags are up, and
+// each such cut is still reported once. Deliberately not parallel: it
+// reads deltas of the process-wide counters, and Go runs non-parallel
+// tests exclusively.
 func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 	type fixture struct {
 		name    string
@@ -161,6 +164,10 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 			if delta.cuts != uint64(res.Stats.Cuts) || delta.pairs != uint64(res.Stats.Pairs) || delta.levels != uint64(res.Stats.Levels) {
 				t.Errorf("%s/%s: counter deltas %+v disagree with Stats %+v", fx.name, mode, delta, res.Stats)
 			}
+			// A pair takes a computed transition or reuses one.
+			if delta.transitions == 0 || delta.transitions > delta.pairs {
+				t.Errorf("%s/%s: %d transitions computed for %d pairs", fx.name, mode, delta.transitions, delta.pairs)
+			}
 			// Every edge either built a new cut or merged into one.
 			if delta.dedup != delta.edges-(delta.cuts-1) {
 				t.Errorf("%s/%s: dedup %d != edges %d - new cuts %d", fx.name, mode, delta.dedup, delta.edges, delta.cuts-1)
@@ -197,6 +204,52 @@ func TestCounterTotalsIdenticalAcrossModes(t *testing.T) {
 
 		if fx.name == "crossing" && baseline.viols == 0 {
 			t.Errorf("crossing fixture flushed no violating pairs")
+		}
+	}
+}
+
+// TestLevelTransitionMemo pins the level step's work on the 2 × 48
+// pulse lattice (9,409 cuts on 193 levels): every stepped pair is
+// counted, but a monitor transition is computed once per level and
+// distinct (monitor key, atom valuation), and once at the root. Under
+// the interval spec some cuts carry two monitor states. Not parallel:
+// it reads deltas of the process-wide counters.
+func TestLevelTransitionMemo(t *testing.T) {
+	msgs, initial := pulseMessages(2, 48)
+	comp, err := lattice.NewComputation(initial, 2, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec               string
+		pairs, transitions int
+	}{
+		// Both flags' atoms take at most two valuations per level
+		// (both flags' parities agree on even levels, differ on odd
+		// ones), one on the last level: 191·2 + 1 transitions, plus
+		// the root's.
+		{`!(v0 = 1 /\ v1 = 1)`, 14017, 384},
+		{`!(v0 = 1 /\ v1 = 1) \/ [v0 = 1, v1 = 1)`, 18529, 765},
+	} {
+		prog := monitor.MustCompile(logic.MustParseFormula(tc.spec))
+		for _, mode := range []string{"offline", "online"} {
+			before := mTransitions.Value()
+			var res Result
+			if mode == "offline" {
+				if res, err = Analyze(prog, comp, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				res = runOnlineMode(t, prog, initial, 2, msgs)
+			}
+			transitions := int(mTransitions.Value() - before)
+			if res.Stats.Cuts != 9409 || res.Stats.Levels != 193 {
+				t.Fatalf("%s/%s: pulse geometry drifted: %d cuts on %d levels", tc.spec, mode, res.Stats.Cuts, res.Stats.Levels)
+			}
+			if res.Stats.Pairs != tc.pairs || transitions != tc.transitions {
+				t.Errorf("%s/%s: %d pairs and %d transitions, want %d and %d",
+					tc.spec, mode, res.Stats.Pairs, transitions, tc.pairs, tc.transitions)
+			}
 		}
 	}
 }

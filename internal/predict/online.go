@@ -2,6 +2,7 @@ package predict
 
 import (
 	"fmt"
+	"slices"
 
 	"gompax/internal/clock"
 	"gompax/internal/event"
@@ -35,16 +36,21 @@ type Online struct {
 	announced []bool                     // thread-done notice received
 	applied   int                        // events consumed into the frontier
 
-	// frontier is the last sealed level, sorted by cut clock (each
+	// frontier is the last sealed level, in creation order (each
 	// entry's keys list its reachable monitor states, each with one
 	// representative path, nil unless Counterexamples was set).
 	frontier []*pentry
-	// scratch is the inline level step's monitor, restored to each
-	// pair's pre-step state before stepping.
+	// scratch is the inline level step's monitor, restored to a pair's
+	// pre-step state on each transition memo miss.
 	scratch *monitor.Monitor
-	result  Result
-	closed  bool
-	ls      levelSpans
+	// memo is the level's transition memo, cleared at every level
+	// barrier; cuts is the level step's reused pointer buffer, emptied
+	// after each use. Close releases both.
+	memo   map[memoKey]transition
+	cuts   []*pentry
+	result Result
+	closed bool
+	ls     levelSpans
 }
 
 // NewOnline starts an online analysis session. The root monitor is
@@ -204,6 +210,7 @@ func (o *Online) Close() (res Result, err error) {
 	}
 	o.closed = true
 	defer func() {
+		o.memo, o.cuts = nil, nil
 		finishTelemetry(&o.result)
 		o.opts.Progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
 		o.opts.Progress.finish()
@@ -328,7 +335,7 @@ func (o *Online) advance() error {
 		o.result.Stats.Cuts += out.newCuts
 		o.result.Stats.Pairs += out.pairs
 		o.result.Stats.addLevel(len(out.next), out.pairWidth)
-		flushLevelTelemetry(len(out.next), out.pairWidth, out.newCuts, out.pairs, out.edges, out.violated)
+		flushLevelTelemetry(len(out.next), out.pairWidth, out.newCuts, out.pairs, out.transitions, out.edges, out.violated)
 		publishStatus(&o.result, false)
 		o.ls.seal(o.result.Stats.Levels-1, len(out.next), out.newCuts)
 		if err := checkBudget(o.opts, &o.result.Stats, len(out.next)); err != nil {
@@ -345,16 +352,21 @@ func (o *Online) advance() error {
 	return nil
 }
 
-// report appends a sealed level's violating cuts to the result, in the
-// level's canonical cut order. A cut belongs to exactly one level, so
-// each violating cut is reported exactly once, whatever number of
-// monitor states or parents reached it. The return value reports that
-// Options.FirstOnly stops the analysis here.
-func (o *Online) report(level []*pentry) bool {
+// report appends a sealed level's violating cuts to the result, in
+// canonical order: the level is in creation order, so only its
+// violating cuts are sorted, by cut clock. A cut belongs to exactly
+// one level, so each violating cut is reported exactly once, whatever
+// number of monitor states or parents reached it. The return value
+// reports that Options.FirstOnly stops the analysis here.
+func (o *Online) report(level []*pentry) (stop bool) {
+	viols := o.cuts[:0]
 	for _, e := range level {
-		if e.viol == nil {
-			continue
+		if e.viol != nil {
+			viols = append(viols, e)
 		}
+	}
+	slices.SortFunc(viols, func(a, b *pentry) int { return clock.Compare(a.counts, b.counts) })
+	for _, e := range viols {
 		viol := Violation{Cut: lattice.NewCut(e.counts, e.state), State: e.state, Level: int(e.counts.Sum())}
 		if o.opts.Counterexamples {
 			run := o.buildRun(e.viol.path)
@@ -362,10 +374,12 @@ func (o *Online) report(level []*pentry) bool {
 		}
 		o.result.Violations = append(o.result.Violations, viol)
 		if o.opts.FirstOnly {
-			return true
+			stop = true
+			break
 		}
 	}
-	return false
+	o.cuts = release(viols)
+	return stop
 }
 
 // expandSuccessors enumerates the consistent single-event extensions

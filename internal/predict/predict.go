@@ -12,7 +12,11 @@
 // Cut identity is scoped to a level: each level's cuts are keyed by a
 // digest derived in O(1) from the parent's, a node is built only for a
 // cut new to the level, and no clock table outlives the level, so a
-// retired level's cuts are garbage at the barrier.
+// retired level's cuts are garbage at the barrier. The monitor sees a
+// cut only through its atoms' truth values, so a cut's atoms are
+// evaluated once, into one word, and each distinct (monitor state,
+// atom valuation) transition is computed once per level, through a
+// memo cleared at the barrier like the level's cut map.
 //
 // The memory-bounded level-by-level analysis described above is the
 // production path, with two entry points over one level driver and one

@@ -1,8 +1,10 @@
 package predict
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"gompax/internal/clock"
@@ -378,6 +380,91 @@ func TestAnalyzeErrorOnUnboundVariable(t *testing.T) {
 	}
 	if _, err := EnumerateRuns(prog, comp, 0, 0); err == nil {
 		t.Fatalf("expected unbound-variable error in enumeration")
+	}
+}
+
+// analyzeBoth runs one single-threaded computation through Analyze
+// and through Online, returning each result and the first error.
+func analyzeBoth(t *testing.T, prog *monitor.Program, initial logic.State, msgs []event.Message) (off, on Result, offErr, onErr error) {
+	t.Helper()
+	comp, err := lattice.NewComputation(initial, 1, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, offErr = Analyze(prog, comp, Options{Counterexamples: true})
+	o, err := NewOnline(prog, initial, 1, Options{Counterexamples: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		if onErr = o.Feed(m); onErr != nil {
+			return off, o.Partial(), offErr, onErr
+		}
+	}
+	if onErr = o.FinishThread(0); onErr != nil {
+		return off, o.Partial(), offErr, onErr
+	}
+	on, onErr = o.Close()
+	return off, on, offErr, onErr
+}
+
+// TestAnalyzeErrorAtNonRootCut: an atom that fails to evaluate at a cut
+// below the root fails both analyzers, as it does at the root
+// (TestAnalyzeErrorOnUnboundVariable).
+func TestAnalyzeErrorAtNonRootCut(t *testing.T) {
+	t.Parallel()
+	prog := monitor.MustCompile(logic.MustParseFormula("10 / x > 0"))
+	initial := logic.StateFromMap(map[string]int64{"x": 1})
+	_, _, offErr, onErr := analyzeBoth(t, prog, initial, []event.Message{msg(0, "x", 0, 1)})
+	for mode, err := range map[string]error{"offline": offErr, "online": onErr} {
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("%s: want the division-by-zero error, got %v", mode, err)
+		}
+	}
+}
+
+// TestAtomsEvaluatedOnlyWhereStepped: a cut is evaluated only when a
+// monitor state steps into it. Here the cut where x = 0 is reached only
+// through a violating cut, whose monitor state is not propagated, so
+// its failing atom is never evaluated and the analysis reports the
+// violation.
+func TestAtomsEvaluatedOnlyWhereStepped(t *testing.T) {
+	t.Parallel()
+	prog := monitor.MustCompile(logic.MustParseFormula("y = 0 /\\ 10 / x > 0"))
+	initial := logic.StateFromMap(map[string]int64{"x": 1, "y": 0})
+	off, on, offErr, onErr := analyzeBoth(t, prog, initial, []event.Message{msg(0, "y", 1, 1), msg(0, "x", 0, 2)})
+	if offErr != nil || onErr != nil {
+		t.Fatalf("offline error %v, online error %v", offErr, onErr)
+	}
+	for mode, res := range map[string]Result{"offline": off, "online": on} {
+		if res.Stats.Cuts != 3 || len(res.Violations) != 1 || res.Violations[0].Level != 1 {
+			t.Errorf("%s: %d cuts and violations %v, want 3 cuts and one violation at level 1", mode, res.Stats.Cuts, res.Violations)
+		}
+	}
+}
+
+// TestAnalyzeSixtyFourAtoms: a formula with monitor.MaxAtoms atoms
+// whose verdict hangs on the last one, the valuation word's top bit,
+// is stepped correctly by the level step.
+func TestAnalyzeSixtyFourAtoms(t *testing.T) {
+	t.Parallel()
+	parts := make([]string, 0, monitor.MaxAtoms)
+	for i := 1; i < monitor.MaxAtoms; i++ {
+		parts = append(parts, fmt.Sprintf("x > -%d", i))
+	}
+	prog := monitor.MustCompile(logic.MustParseFormula(strings.Join(append(parts, "x < 5"), " /\\ ")))
+	if len(prog.Atoms()) != monitor.MaxAtoms {
+		t.Fatalf("compiled %d atoms, want %d", len(prog.Atoms()), monitor.MaxAtoms)
+	}
+	initial := logic.StateFromMap(map[string]int64{"x": 0})
+	off, on, offErr, onErr := analyzeBoth(t, prog, initial, []event.Message{msg(0, "x", 4, 1), msg(0, "x", 5, 2)})
+	if offErr != nil || onErr != nil {
+		t.Fatalf("offline error %v, online error %v", offErr, onErr)
+	}
+	for mode, res := range map[string]Result{"offline": off, "online": on} {
+		if len(res.Violations) != 1 || res.Violations[0].Level != 2 || res.Violations[0].State.Key() != "x=5" {
+			t.Errorf("%s: violations %v, want one at level 2 where x = 5", mode, res.Violations)
+		}
 	}
 }
 
