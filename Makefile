@@ -30,21 +30,25 @@ chaos:
 	$(GO) test -run 'Chaos|Corrupt|Fault|Resync|IdleTimeout' ./internal/wire/ ./internal/observer/ ./internal/race/ ./internal/serve/ -v
 
 # Short bounded fuzz pass over the wire decoders, the fault pipeline,
-# the observer session loop and the daemon handshake.
+# the observer session loop, the daemon handshake and the atoms
+# compiled to slot reads.
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzReceiver -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzSessionFaults -fuzztime 10s
 	$(GO) test ./internal/observer/ -fuzz FuzzObserverSession -fuzztime 10s
 	$(GO) test ./internal/serve/ -fuzz FuzzHandshake -fuzztime 10s
+	$(GO) test ./internal/logic/ -fuzz FuzzSlotPred -fuzztime 10s
 
 # Quick fuzz smoke for verify: a few seconds over the frame decoder,
-# the session loop and the handshake, enough to catch a decoder,
-# observer or admission regression without stalling the gate.
+# the session loop, the handshake and the compiled atoms, enough to
+# catch a decoder, observer, admission or atom-compiler regression
+# without stalling the gate.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 5s
 	$(GO) test ./internal/observer/ -run '^$$' -fuzz FuzzObserverSession -fuzztime 5s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzHandshake -fuzztime 5s
+	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzSlotPred -fuzztime 5s
 
 # Run every benchmark body once, so a benchmark that no longer builds
 # or runs fails CI. It times nothing and writes no BENCH file.

@@ -135,7 +135,7 @@ func ship(w clockWorkload, buf *bytes.Buffer, s *wire.Sender, msgs []event.Messa
 // pipelineInterned runs the production observer pipeline end to end on
 // the interned substrate: Algorithm A on a hash-consing tracker whose
 // emission shares the thread's clock handle, v3 delta wire encoding,
-// receiver-side interning into one session table, and computation
+// receiver-side clocks built in no table, and computation
 // reconstruction directly over the received Refs.
 func pipelineInterned(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, error) {
 	col := &mvc.Collector{}

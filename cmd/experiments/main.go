@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
+	"strings"
 
 	"gompax/internal/clock"
 	"gompax/internal/deadlock"
@@ -110,7 +112,7 @@ func experimentF6(base int64) {
 		}
 		fmt.Printf("messages (seed %d):\n\n", seed)
 		for _, m := range rep.Messages {
-			fmt.Printf("    %s\n", m)
+			fmt.Printf("    %s\n", paperMessage(m, len(rep.Program.Threads)))
 		}
 		fmt.Println()
 		fmt.Printf("| metric | paper | measured |\n|---|---|---|\n")
@@ -121,6 +123,17 @@ func experimentF6(base int64) {
 		return
 	}
 	check(errors.New("F6: scenario not found"))
+}
+
+// paperMessage renders a message as Fig. 6 prints it, <x=0, T1, (1,0)>:
+// the clock in full at the program's thread count, where
+// Message.String drops the normalized clock's trailing zeros.
+func paperMessage(m event.Message, threads int) string {
+	comps := make([]string, threads)
+	for i := range comps {
+		comps[i] = strconv.FormatUint(m.Clock.Get(i), 10)
+	}
+	return fmt.Sprintf("<%s=%d, T%d, (%s)>", m.Event.Var, m.Event.Value, m.Event.Thread+1, strings.Join(comps, ","))
 }
 
 // experimentC1: the detection-probability study.

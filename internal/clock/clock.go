@@ -18,8 +18,11 @@
 //     node per value per table, so within one table pointer identity
 //     is value identity. Leq/Less/Equal/Compare start with a pointer
 //     test and also shortcut over shared chunks. The package-level Tick
-//     builds a value outside any table, for a consumer that scopes
-//     value identity itself (the lattice explorer, per level).
+//     and New build a value outside any table, for a consumer that
+//     scopes value identity itself (the lattice explorer, per level)
+//     or never meets a value twice (a wire receiver).
+//   - A value that fits one chunk is one allocation: its node, chunk
+//     and one-entry spine share a block.
 //   - Each node carries a precomputed 64-bit digest, maintained
 //     incrementally (the digest is a XOR of per-component mixes, so a
 //     Tick updates it in O(1)). Consumers use the digest for shard
@@ -346,13 +349,13 @@ type tableShard struct {
 }
 
 // Table is an interning table: at most one canonical node per distinct
-// clock value. Tables are typically scoped to one tracer or one wire
-// session, so interned values are reclaimed when the session ends and
-// Refs from a single table can serve directly as map keys. A table
-// never evicts, so the lattice explorer interns no cut clock: a cut
-// lives on one level, and the explorer keys each level by TickDigest
-// and builds new cuts with the table-free Tick. All methods are safe
-// for concurrent use.
+// clock value. Tables are typically scoped to one tracer, so interned
+// values are reclaimed when the tracer is and Refs from a single table
+// can serve directly as map keys. A table never evicts, so the lattice
+// explorer interns no cut clock: a cut lives on one level, and the
+// explorer keys each level by TickDigest and builds new cuts with the
+// table-free Tick. A wire receiver interns nothing either (New). All
+// methods are safe for concurrent use.
 type Table struct {
 	shards [tableShards]tableShard
 	size   atomic.Int64
@@ -408,37 +411,84 @@ func (t *Table) intern(cand *node) Ref {
 // Intern returns the canonical Ref for the given components (trailing
 // zeros are normalized away; the slice is copied, not retained).
 func (t *Table) Intern(comps []uint64) Ref {
-	n := len(comps)
-	for n > 0 && comps[n-1] == 0 {
-		n--
-	}
+	n := normLen(comps)
 	if n == 0 {
 		return Ref{}
 	}
 	return t.intern(buildNode(comps[:n]))
 }
 
+// New returns the clock with the given components, like Intern but
+// interned nowhere (trailing zeros are normalized away; the slice is
+// copied, not retained). A wire receiver builds every decoded clock
+// this way: Theorem 3 makes the clocks of one session's messages
+// pairwise distinct, so a session table would never hit. Compare the
+// result with Equal, not ==.
+func New(comps []uint64) Ref {
+	n := normLen(comps)
+	if n == 0 {
+		return Ref{}
+	}
+	return Ref{buildNode(comps[:n])}
+}
+
+// normLen returns the length of comps without its trailing zeros.
+func normLen(comps []uint64) int {
+	n := len(comps)
+	for n > 0 && comps[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
+// block is a single-chunk clock in one allocation: the node, its
+// chunk and its one-entry spine. The block points only into itself,
+// so a later value that shares its chunk keeps no other value alive.
+type block struct {
+	node  node
+	chunk chunk
+	spine [1]*chunk
+}
+
+// newBlock returns a block whose spine holds its own chunk.
+func newBlock() *block {
+	b := &block{}
+	b.spine[0] = &b.chunk
+	b.node.chunks = b.spine[:]
+	return b
+}
+
 // buildNode builds the node for the normalized components comps
-// (comps[len-1] != 0) in fresh chunks.
+// (comps[len-1] != 0) in fresh chunks: one block when they fit one
+// chunk, else the node, its spine and one array of chunks.
 func buildNode(comps []uint64) *node {
-	chunks := make([]*chunk, nchunks(len(comps)))
-	var digest, sum uint64
-	for ci := range chunks {
-		c := &chunk{}
+	var nd *node
+	if len(comps) <= chunkSize {
+		nd = &newBlock().node
+	} else {
+		nc := nchunks(len(comps))
+		cs := make([]chunk, nc)
+		nd = &node{chunks: make([]*chunk, nc)}
+		for ci := range cs {
+			nd.chunks[ci] = &cs[ci]
+		}
+	}
+	for ci, c := range nd.chunks {
 		base := ci << chunkShift
 		copy(c[:], comps[base:])
 		for k, x := range c {
-			digest ^= contrib(base+k, x)
-			sum += x
+			nd.digest ^= contrib(base+k, x)
+			nd.sum += x
 		}
-		chunks[ci] = c
 	}
-	return &node{chunks: chunks, n: len(comps), digest: digest, sum: sum}
+	nd.n = len(comps)
+	return nd
 }
 
 // Tick returns the clock with component i incremented by one: step 1
 // of Algorithm A, and lattice.Computation.Advance. One spine and one
-// chunk copy, an incremental digest update, and an intern lookup.
+// chunk copy, an incremental digest update, and an intern lookup; a
+// clock that fits one chunk is built in one allocation.
 func (t *Table) Tick(r Ref, i int) Ref {
 	return t.intern(tickNode(r, i))
 }
@@ -454,19 +504,31 @@ func Tick(r Ref, i int) Ref {
 
 // tickNode builds, without interning, the node for r with component i
 // incremented: the spine is copied, the chunk holding i is copied and
-// raised, and every other chunk is shared with r.
+// raised, and every other chunk is shared with r. A value that fits
+// one chunk is one block. A wider one takes the node, its spine and
+// the raised chunk as three objects: were the chunk allocated with the
+// node, a later value sharing that chunk would keep the node's spine
+// alive, and through it the chunks of older values, without bound.
 func tickNode(r Ref, i int) *node {
 	old := r.Get(i)
 	n := max(r.Len(), i+1)
-	chunks := make([]*chunk, nchunks(n))
-	for ci := range chunks {
-		chunks[ci] = r.chunkAt(ci)
-	}
 	ci := i >> chunkShift
-	c := *chunks[ci]
+	var nd *node
+	var c *chunk
+	if n <= chunkSize {
+		b := newBlock()
+		nd, c = &b.node, &b.chunk
+	} else {
+		nd, c = &node{chunks: make([]*chunk, nchunks(n))}, &chunk{}
+		for k := range nd.chunks {
+			nd.chunks[k] = r.chunkAt(k)
+		}
+		nd.chunks[ci] = c
+	}
+	*c = *r.chunkAt(ci)
 	c[i&(chunkSize-1)] = old + 1
-	chunks[ci] = &c
-	return &node{chunks: chunks, n: n, digest: TickDigest(r, i), sum: r.Sum() + 1}
+	nd.n, nd.digest, nd.sum = n, TickDigest(r, i), r.Sum()+1
+	return nd
 }
 
 // TickDigest returns the digest of r with component i incremented by

@@ -284,3 +284,39 @@ func TestTableSizeAndHits(t *testing.T) {
 		t.Fatalf("Size = %d, want 2", got)
 	}
 }
+
+// TestNewMatchesIntern: New builds the value Intern builds, normalized
+// alike, with the same digest and sum, but interned nowhere.
+func TestNewMatchesIntern(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		v := randVC(rng)
+		got, want := New(v), Global().Intern(v)
+		if !Equal(got, want) || got.Key() != want.Key() || got.Digest() != want.Digest() || got.Sum() != want.Sum() {
+			t.Fatalf("New(%v) = %s (digest %x, sum %d), Intern = %s (digest %x, sum %d)",
+				v, got, got.Digest(), got.Sum(), want, want.Digest(), want.Sum())
+		}
+		if !want.IsZero() && got == want {
+			t.Fatalf("New(%v) returned the table's node", v)
+		}
+	}
+}
+
+var tickSink Ref
+
+// TestTickAllocations: a tick of a clock that fits one chunk is one
+// allocation; a wider clock's takes the node, its spine and the
+// raised chunk.
+func TestTickAllocations(t *testing.T) {
+	narrow := New([]uint64{1, 2, 3})
+	wide := New([]uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	for _, tc := range []struct {
+		r      Ref
+		i      int
+		allocs float64
+	}{{narrow, 1, 1}, {narrow, 7, 1}, {wide, 3, 3}, {wide, 11, 3}} {
+		if got := testing.AllocsPerRun(100, func() { tickSink = Tick(tc.r, tc.i) }); got != tc.allocs {
+			t.Errorf("Tick(%s, %d) costs %v allocations, want %v", tc.r, tc.i, got, tc.allocs)
+		}
+	}
+}

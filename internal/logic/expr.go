@@ -37,9 +37,15 @@ type VarRef struct{ Name string }
 func (e VarRef) Eval(env Env) (int64, error) {
 	v, ok := env.Lookup(e.Name)
 	if !ok {
-		return 0, fmt.Errorf("logic: variable %q not bound in environment", e.Name)
+		return 0, unboundErr(e.Name)
 	}
 	return v, nil
+}
+
+// unboundErr reports a reference to a variable the environment does
+// not bind.
+func unboundErr(name string) error {
+	return fmt.Errorf("logic: variable %q not bound in environment", name)
 }
 func (e VarRef) addVars(set map[string]bool) { set[e.Name] = true }
 func (e VarRef) String() string              { return e.Name }
@@ -77,25 +83,43 @@ func (e BinExpr) Eval(env Env) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch e.Op {
-	case Add:
-		return l + r, nil
-	case Sub:
-		return l - r, nil
-	case Mul:
-		return l * r, nil
-	case Div:
-		if r == 0 {
-			return 0, fmt.Errorf("logic: division by zero in %s", e)
-		}
-		return l / r, nil
-	case Mod:
-		if r == 0 {
-			return 0, fmt.Errorf("logic: modulus by zero in %s", e)
-		}
-		return l % r, nil
+	if v, ok := e.Op.apply(l, r); ok {
+		return v, nil
 	}
-	return 0, fmt.Errorf("logic: unknown arithmetic operator %d", e.Op)
+	return 0, arithErr(e.Op, e)
+}
+
+// apply computes l op r. It reports false for a division or modulus
+// by zero and for an unknown operator; arithErr names the failure.
+func (op ArithOp) apply(l, r int64) (int64, bool) {
+	switch op {
+	case Add:
+		return l + r, true
+	case Sub:
+		return l - r, true
+	case Mul:
+		return l * r, true
+	case Div:
+		if r != 0 {
+			return l / r, true
+		}
+	case Mod:
+		if r != 0 {
+			return l % r, true
+		}
+	}
+	return 0, false
+}
+
+// arithErr is the error of a failed apply of op in the expression src.
+func arithErr(op ArithOp, src fmt.Stringer) error {
+	switch op {
+	case Div:
+		return fmt.Errorf("logic: division by zero in %s", src)
+	case Mod:
+		return fmt.Errorf("logic: modulus by zero in %s", src)
+	}
+	return fmt.Errorf("logic: unknown arithmetic operator %d", op)
 }
 
 func (e BinExpr) addVars(set map[string]bool) {

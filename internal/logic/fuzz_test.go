@@ -38,3 +38,56 @@ func FuzzParseFormula(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSlotPred differentially checks atoms compiled to slot reads:
+// over any value vector, every predicate of a formula, compiled with
+// CompilePred, returns what Pred.Holds returns over the State binding
+// the same variables to the same values, with the same error text.
+// bound picks which of the formula's variables the state binds, so
+// unbound variables are covered, as are zero divisors.
+func FuzzSlotPred(f *testing.F) {
+	seeds := []struct {
+		src     string
+		x, y, z int64
+		bound   uint8
+	}{
+		{"x = 1", 1, 0, 0, 1},
+		{"x / (y - 1) > z % 2", 3, 1, 5, 7},
+		{"x % y <= -z", 4, 0, 2, 7},
+		{"10 / x > 0 /\\ y = 0", 0, 0, 0, 3},
+		{"nope = 1 \\/ x < y", 1, 2, 3, 3},
+		{"(x + 1) * 2 > y - -z", -9223372036854775808, -1, 7, 7},
+		{"[*] (x / y < z) -> [x = 1, y % z = 0)", 1, 2, 0, 5},
+		{"start(a * b != c)", 2, 3, 6, 6},
+	}
+	for _, s := range seeds {
+		f.Add(s.src, s.x, s.y, s.z, s.bound)
+	}
+	f.Fuzz(func(t *testing.T, src string, x, y, z int64, bound uint8) {
+		formula, err := ParseFormula(src)
+		if err != nil {
+			return
+		}
+		values := []int64{x, y, z}
+		m := map[string]int64{}
+		for i, name := range Vars(formula) {
+			if bound&(1<<(i%8)) != 0 {
+				m[name] = values[i%len(values)]
+			}
+		}
+		st := StateFromMap(m)
+		vals := st.Values()
+		Walk(formula, func(g Formula) {
+			p, ok := g.(Pred)
+			if !ok {
+				return
+			}
+			sp := CompilePred(p, st.Vars())
+			want, wantErr := p.Holds(st)
+			got, gotErr := sp.Holds(vals)
+			if got != want || (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%s over %s: compiled (%v, %v), Holds (%v, %v)", p, st, got, gotErr, want, wantErr)
+			}
+		})
+	})
+}

@@ -45,8 +45,7 @@ func StateFromMap(m map[string]int64) State {
 
 // Lookup returns the value bound to name.
 func (s State) Lookup(name string) (int64, bool) {
-	i := sort.SearchStrings(s.names, name)
-	if i < len(s.names) && s.names[i] == name {
+	if i, ok := slotOf(s.names, name); ok {
 		return s.vals[i], true
 	}
 	return 0, false
@@ -57,6 +56,22 @@ func (s State) Vars() []string { return s.names }
 
 // Len returns the number of bound variables.
 func (s State) Len() int { return len(s.names) }
+
+// Slot returns the position of name in Vars: its slot in a value
+// vector over this state's variables.
+func (s State) Slot(name string) (int, bool) { return slotOf(s.names, name) }
+
+// Values returns a copy of the state's values, one per slot of Vars.
+func (s State) Values() []int64 { return append([]int64(nil), s.vals...) }
+
+// WithValues returns the state binding s's variables to a copy of
+// vals, one value per slot of Vars. It shares s's names.
+func (s State) WithValues(vals []int64) State {
+	if len(vals) != len(s.names) {
+		panic("logic: WithValues needs one value per variable")
+	}
+	return State{names: s.names, vals: append([]int64(nil), vals...)}
+}
 
 // With returns a copy of s with name bound to v. If name is not
 // already bound it is inserted.

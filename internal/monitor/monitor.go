@@ -251,6 +251,38 @@ func (p *Program) AtomBits(env logic.Env) (uint64, error) {
 	return bits, nil
 }
 
+// SlotAtoms is a program's atoms compiled to slot reads over one
+// variable order: a value vector holds one value per slot of that
+// order.
+type SlotAtoms []logic.SlotPred
+
+// CompileSlots compiles the program's atoms to slot reads over vars,
+// which must be sorted (a State's Vars).
+func (p *Program) CompileSlots(vars []string) SlotAtoms {
+	a := make(SlotAtoms, len(p.atoms))
+	for i, atom := range p.atoms {
+		a[i] = logic.CompilePred(atom, vars)
+	}
+	return a
+}
+
+// Bits evaluates every atom over vals, one value per slot: AtomBits
+// over the state binding the compiled order to vals, with the same
+// word and the same error.
+func (a SlotAtoms) Bits(vals []int64) (uint64, error) {
+	var bits uint64
+	for i := range a {
+		v, err := a[i].Holds(vals)
+		if err != nil {
+			return 0, err
+		}
+		if v {
+			bits |= 1 << uint(i)
+		}
+	}
+	return bits, nil
+}
+
 // NewMonitor returns a fresh monitor in the pre-initial state.
 func (p *Program) NewMonitor() *Monitor {
 	return &Monitor{prog: p, scratch: make([]bool, len(p.nodes))}

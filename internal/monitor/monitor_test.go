@@ -335,3 +335,40 @@ func TestQuickMonitorDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlotAtomsMatchAtomBits: atoms compiled to slot reads give
+// AtomBits's word over the equivalent state, and fail exactly as it
+// does. The order binds one variable fewer than the formula names, so
+// atoms that fail to evaluate are covered too.
+func TestSlotAtomsMatchAtomBits(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	names := []string{"a", "b", "c", "d"}
+	vars := names[:3] // d is never bound
+	evaluated := 0
+	for iter := 0; iter < 300; iter++ {
+		prog, err := Compile(logic.GenFormula(rng, names, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		atoms := prog.CompileSlots(vars)
+		for step := 0; step < 8; step++ {
+			vals := make([]int64, len(vars))
+			for i := range vals {
+				vals[i] = int64(rng.Intn(5) - 2)
+			}
+			state := logic.StateFromMap(map[string]int64{"a": vals[0], "b": vals[1], "c": vals[2]})
+			got, err := atoms.Bits(vals)
+			want, wantErr := prog.AtomBits(state)
+			if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s over %v: Bits (%b, %v), AtomBits (%b, %v)", prog.Formula(), vals, got, err, want, wantErr)
+			}
+			if err == nil {
+				evaluated++
+			}
+		}
+	}
+	if evaluated < 500 {
+		t.Fatalf("only %d vectors evaluated without error", evaluated)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"gompax/internal/clock"
+	"gompax/internal/event"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
 	"gompax/internal/observer"
@@ -40,6 +42,16 @@ func FuzzObserverSession(f *testing.F) {
 	}))
 	f.Add(stalledSession())
 	f.Add(wideDeltaStream(f))
+	// A write of a variable the initial state does not bind, which the
+	// analysis treats as state-neutral, like a channel event.
+	f.Add(frames(func(s *wire.Sender) {
+		s.SendHello(wire.Hello{Threads: 1, Initial: logic.StateFromMap(map[string]int64{"landing": 0, "approved": 0, "radio": 0})})
+		s.SendMessage(event.Message{
+			Event: event.Event{Thread: 0, Index: 1, Kind: event.Write, Var: "ghost", Value: 1, Relevant: true},
+			Clock: clock.Of(1),
+		})
+		s.SendThreadDone(0)
+	}))
 	prog := monitor.MustCompile(logic.MustParseFormula(progs.LandingProperty))
 	budget := predict.Options{MaxCuts: 512, MaxWidth: 32}
 	f.Fuzz(func(t *testing.T, data []byte) {

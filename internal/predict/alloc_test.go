@@ -109,13 +109,53 @@ func TestOnlineAllocsWithinOffline(t *testing.T) {
 	t.Logf("allocs per run: offline %.0f, online %.0f (%.2f×)", offline, online, online/offline)
 }
 
-// TestPentrySizeClass: a frontier cut is exactly one 128-byte
-// allocation size class. One more word would put every cut in the
-// 144-byte class: an earlier layout that kept a digest-collision link
-// beside the atom valuation cost 5.6% more allocated bytes per event
-// on the wide-lattice benchmark workload.
+// TestNewCutAllocations: a new cut costs at most two allocations, all
+// costs of the analysis included. Its clock is one allocation, its
+// pentry and value vector are carved from slabs, and its atoms are
+// evaluated over the vector without building a State. The lattice is
+// BenchmarkExploreViolating's (9,409 cuts, 2,304 violating), analyzed
+// offline and online under both of its specs; the interval spec puts
+// a second monitor state on some cuts.
+func TestNewCutAllocations(t *testing.T) {
+	msgs, initial := pulseMessages(2, 48)
+	comp, err := lattice.NewComputation(initial, 2, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{`!(v0 = 1 /\ v1 = 1)`, `!(v0 = 1 /\ v1 = 1) \/ [v0 = 1, v1 = 1)`} {
+		prog := monitor.MustCompile(logic.MustParseFormula(spec))
+		var off, on Result
+		offline := testing.AllocsPerRun(3, func() {
+			if off, err = Analyze(prog, comp, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		online := testing.AllocsPerRun(3, func() {
+			on = runOnlineMode(t, prog, initial, 2, msgs)
+		})
+		for mode, allocs := range map[string]float64{"offline": offline, "online": online} {
+			res := off
+			if mode == "online" {
+				res = on
+			}
+			if res.Stats.Cuts != 9409 || len(res.Violations) != 2304 {
+				t.Fatalf("%s %s: pulse geometry drifted: %d cuts, %d violations", spec, mode, res.Stats.Cuts, len(res.Violations))
+			}
+			perCut := allocs / float64(res.Stats.Cuts)
+			t.Logf("%s %s: %.0f allocations, %.2f per cut", spec, mode, allocs, perCut)
+			if perCut > 2 {
+				t.Errorf("%s %s: %.0f allocations for %d cuts, %.2f per cut; want at most 2", spec, mode, allocs, res.Stats.Cuts, perCut)
+			}
+		}
+	}
+}
+
+// TestPentrySizeClass: a frontier cut stays 104 bytes. The level step
+// carves pentrys from slabs of up to maxSlab entries, not one
+// allocation each, so no size class absorbs a larger pentry: every
+// added byte is paid by every cut.
 func TestPentrySizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(pentry{}); got > 128 {
-		t.Fatalf("pentry is %d bytes, want at most 128 (one size class)", got)
+	if got := unsafe.Sizeof(pentry{}); got > 104 {
+		t.Fatalf("pentry is %d bytes, want at most 104", got)
 	}
 }

@@ -29,12 +29,16 @@ type Online struct {
 	initial logic.State
 	threads int
 	opts    Options
+	// atoms are the formula's atoms compiled to slot reads over the
+	// session's variable order, the initial state's Vars: a cut's
+	// state is a vector of values by slot in that order.
+	atoms monitor.SlotAtoms
 
-	events    [][]event.Message          // contiguous prefixes per thread
-	pending   []map[uint64]event.Message // buffered out-of-order messages
-	final     []bool                     // thread will send no more deliverable messages
-	announced []bool                     // thread-done notice received
-	applied   int                        // events consumed into the frontier
+	events    [][]smsg          // contiguous prefixes per thread
+	pending   []map[uint64]smsg // buffered out-of-order messages
+	final     []bool            // thread will send no more deliverable messages
+	announced []bool            // thread-done notice received
+	applied   int               // events consumed into the frontier
 
 	// frontier is the last sealed level, in creation order (each
 	// entry's keys list its reachable monitor states, each with one
@@ -45,12 +49,30 @@ type Online struct {
 	scratch *monitor.Monitor
 	// memo is the level's transition memo, cleared at every level
 	// barrier; cuts is the level step's reused pointer buffer, emptied
-	// after each use. Close releases both.
+	// after each use. pslab and vslab are the unused tails of the slabs
+	// new cuts and their value vectors are carved from. Close releases
+	// all four.
 	memo   map[memoKey]transition
 	cuts   []*pentry
+	pslab  []pentry
+	vslab  []int64
 	result Result
 	closed bool
 	ls     levelSpans
+}
+
+// smsg is a delivered message and its slot: the position, in the
+// session's variable order, of the variable it writes, or -1 for a
+// state-neutral event, which occupies a lattice position (it ticks its
+// thread's clock) but changes no cut's state. A channel event is
+// state-neutral, since its Var is a channel name, not a shared
+// variable; so is a write of a variable the initial state does not
+// bind, since no atom reads one (the root evaluates every atom over
+// the initial state, so a formula naming such a variable fails
+// NewOnline).
+type smsg struct {
+	event.Message
+	slot int
 }
 
 // NewOnline starts an online analysis session. The root monitor is
@@ -74,21 +96,24 @@ func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 		initial:   initial,
 		threads:   threads,
 		opts:      opts,
-		events:    make([][]event.Message, threads),
-		pending:   make([]map[uint64]event.Message, threads),
+		atoms:     prog.CompileSlots(initial.Vars()),
+		events:    make([][]smsg, threads),
+		pending:   make([]map[uint64]smsg, threads),
 		final:     make([]bool, threads),
 		announced: make([]bool, threads),
 		ls:        newLevelSpans(opts.Span),
 	}
 	for i := range o.pending {
-		o.pending[i] = map[uint64]event.Message{}
+		o.pending[i] = map[uint64]smsg{}
 	}
 	mAnalyses.With(mode).Inc()
-	m := prog.NewMonitor()
-	verdict, err := m.Step(initial)
+	vals := initial.Values()
+	bits, err := o.atoms.Bits(vals)
 	if err != nil {
 		return nil, err
 	}
+	m := prog.NewMonitor()
+	verdict := m.StepBits(bits)
 	o.result.Stats = Stats{Cuts: 1, Pairs: 1, Levels: 1, MaxWidth: 1, MaxPairWidth: 1, LevelWidths: []int{1}}
 	o.result.Stats.reserveLevels(levels)
 	flushRootTelemetry(verdict == monitor.Violated)
@@ -104,8 +129,8 @@ func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 		return o, nil
 	}
 	o.opts.Progress.record(&o.result.Stats, 1, 0)
-	root := newEntry(clock.Ref{}, initial)
-	root.keys = append(root.keys, mstate{key: m.Key()})
+	root := &pentry{vals: vals, bits: bits}
+	root.keys = append(root.inline[:0], mstate{key: m.Key()})
 	o.frontier = []*pentry{root}
 	o.scratch = m
 	return o, nil
@@ -149,7 +174,7 @@ func (o *Online) buffer(m event.Message) error {
 	if _, dup := o.pending[i][k]; dup {
 		return fmt.Errorf("predict: duplicate message for thread %d position %d", i, k)
 	}
-	o.pending[i][k] = m
+	o.pending[i][k] = smsg{m, o.slotOf(m)}
 	// Absorb any now-contiguous prefix.
 	for {
 		next := uint64(len(o.events[i])) + 1
@@ -166,6 +191,18 @@ func (o *Online) buffer(m event.Message) error {
 		o.final[i] = true
 	}
 	return nil
+}
+
+// slotOf resolves the slot a message writes, or -1 when it writes
+// none (see smsg).
+func (o *Online) slotOf(m event.Message) int {
+	if m.Event.Kind.IsChannel() {
+		return -1
+	}
+	if slot, ok := o.initial.Slot(m.Event.Var); ok {
+		return slot
+	}
+	return -1
 }
 
 // FinishThread declares that a thread will send no further messages.
@@ -210,7 +247,7 @@ func (o *Online) Close() (res Result, err error) {
 	}
 	o.closed = true
 	defer func() {
-		o.memo, o.cuts = nil, nil
+		o.memo, o.cuts, o.pslab, o.vslab = nil, nil, nil, nil
 		finishTelemetry(&o.result)
 		o.opts.Progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
 		o.opts.Progress.finish()
@@ -287,7 +324,7 @@ func (o *Online) truncateGaps() {
 			Dropped:   len(o.pending[i]),
 			FirstGap:  delivered + 1,
 		})
-		o.pending[i] = map[uint64]event.Message{}
+		o.pending[i] = map[uint64]smsg{}
 	}
 }
 
@@ -341,6 +378,13 @@ func (o *Online) advance() error {
 		if err := checkBudget(o.opts, &o.result.Stats, len(out.next)); err != nil {
 			return err
 		}
+		// A slab's tail can serve the levels after the one it was
+		// carved for, and a slab lives while any cut in it does, so
+		// the retired level drops what its cuts point at (their
+		// representative paths above all) instead of keeping it alive.
+		for _, e := range o.frontier {
+			e.keys, e.viol = nil, nil
+		}
 		o.frontier = out.next
 		stop := o.report(out.next)
 		o.opts.Progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
@@ -356,7 +400,10 @@ func (o *Online) advance() error {
 // canonical order: the level is in creation order, so only its
 // violating cuts are sorted, by cut clock. A cut belongs to exactly
 // one level, so each violating cut is reported exactly once, whatever
-// number of monitor states or parents reached it. The return value
+// number of monitor states or parents reached it. Result.Violations
+// grows once per level, and each violation's State is built here,
+// over the initial state's names with its own copy of the cut's
+// values, so a stored violation keeps no slab alive. The return value
 // reports that Options.FirstOnly stops the analysis here.
 func (o *Online) report(level []*pentry) (stop bool) {
 	viols := o.cuts[:0]
@@ -365,9 +412,15 @@ func (o *Online) report(level []*pentry) (stop bool) {
 			viols = append(viols, e)
 		}
 	}
+	n := len(viols)
+	if o.opts.FirstOnly {
+		n = min(n, 1)
+	}
+	o.result.Violations = slices.Grow(o.result.Violations, n)
 	slices.SortFunc(viols, func(a, b *pentry) int { return clock.Compare(a.counts, b.counts) })
 	for _, e := range viols {
-		viol := Violation{Cut: lattice.NewCut(e.counts, e.state), State: e.state, Level: int(e.counts.Sum())}
+		state := o.initial.WithValues(e.vals)
+		viol := Violation{Cut: lattice.NewCut(e.counts, state), State: state, Level: int(e.counts.Sum())}
 		if o.opts.Counterexamples {
 			run := o.buildRun(e.viol.path)
 			viol.Run = &run
@@ -387,7 +440,7 @@ func (o *Online) report(level []*pentry) (stop bool) {
 // For each it yields the advancing thread, the 1-based index of the
 // applied event within that thread, and the applied message; the
 // level step finds or builds the successor cut.
-func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, m *event.Message)) {
+func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, m *smsg)) {
 	for i := 0; i < o.threads; i++ {
 		need := int(ent.counts.Get(i)) + 1
 		if need > len(o.events[i]) {
@@ -427,9 +480,11 @@ func (o *Online) buildRun(ids []int) lattice.Run {
 	for _, id := range ids {
 		th := id >> 32
 		idx := id & 0xffffffff
-		msg := o.events[th][idx-1]
-		cur = applyMessage(cur, msg)
-		run.Msgs = append(run.Msgs, msg)
+		m := o.events[th][idx-1]
+		if m.slot >= 0 {
+			cur = cur.With(m.Event.Var, m.Event.Value)
+		}
+		run.Msgs = append(run.Msgs, m.Message)
 		run.States = append(run.States, cur)
 	}
 	return run

@@ -304,3 +304,43 @@ func TestOnlineCounterexamples(t *testing.T) {
 		t.Fatalf("counterexample ends with %s", last.Event.Var)
 	}
 }
+
+// TestUnboundWriteStateNeutral: a message that writes a variable the
+// initial state does not bind changes no cut's state, like a channel
+// event. No atom can read the variable (the root evaluates every atom
+// over the initial state), so strict and lossy analyses, offline and
+// online, explore the whole lattice and report the violation after
+// it, whose State and counterexample bind only the initial state's
+// variables.
+func TestUnboundWriteStateNeutral(t *testing.T) {
+	t.Parallel()
+	prog := monitor.MustCompile(logic.MustParseFormula("x < 5"))
+	initial := logic.StateFromMap(map[string]int64{"x": 0})
+	msgs := []event.Message{msg(0, "x", 1, 1), msg(0, "ghost", 7, 2), msg(0, "x", 9, 3)}
+	comp, err := lattice.NewComputation(initial, 1, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lossy := range []bool{false, true} {
+		opts := Options{Lossy: lossy, Counterexamples: true}
+		off, err := Analyze(prog, comp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := NewOnline(prog, initial, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		on := feedAll(t, o, msgs, 1)
+		for mode, res := range map[string]Result{"offline": off, "online": on} {
+			if res.Degraded != nil || res.Stats.Cuts != 4 || len(res.Violations) != 1 {
+				t.Fatalf("lossy=%v %s: degraded %v, %d cuts, violations %v; want 4 cuts and one violation",
+					lossy, mode, res.Degraded, res.Stats.Cuts, res.Violations)
+			}
+			v := res.Violations[0]
+			if v.Level != 3 || v.State.String() != "{x=9}" || v.Run == nil || v.Run.States[3].String() != "{x=9}" {
+				t.Errorf("lossy=%v %s: violation at level %d in %s (run %v), want level 3 in {x=9}", lossy, mode, v.Level, v.State, v.Run)
+			}
+		}
+	}
+}

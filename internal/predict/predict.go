@@ -12,11 +12,17 @@
 // Cut identity is scoped to a level: each level's cuts are keyed by a
 // digest derived in O(1) from the parent's, a node is built only for a
 // cut new to the level, and no clock table outlives the level, so a
-// retired level's cuts are garbage at the barrier. The monitor sees a
-// cut only through its atoms' truth values, so a cut's atoms are
-// evaluated once, into one word, and each distinct (monitor state,
-// atom valuation) transition is computed once per level, through a
-// memo cleared at the barrier like the level's cut map.
+// retired level's cuts are garbage at the barrier. A cut's state is a
+// vector of values by slot in the session's variable order, which the
+// initial state fixes: a new cut copies its parent's vector and writes
+// the one slot its event writes, and its entry and vector are carved
+// from slabs sized to the frontier, so its clock is its only
+// allocation of its own. The monitor sees a cut only through its
+// atoms' truth values, compiled once per session to slot reads, so a
+// cut's atoms are evaluated once, into one word, and each distinct
+// (monitor state, atom valuation) transition is computed once per
+// level, through a memo cleared at the barrier like the level's cut
+// map.
 //
 // The memory-bounded level-by-level analysis described above is the
 // production path, with two entry points over one level driver and one
@@ -321,23 +327,13 @@ func Analyze(prog *monitor.Program, comp *lattice.Computation, opts Options) (Re
 		return Result{}, err
 	}
 	for i := range o.events {
-		o.events[i] = make([]event.Message, comp.Count(i))
+		o.events[i] = make([]smsg, comp.Count(i))
 		for k := range o.events[i] {
-			o.events[i][k] = comp.Message(i, k+1)
+			m := comp.Message(i, k+1)
+			o.events[i][k] = smsg{m, o.slotOf(m)}
 		}
 	}
 	return o.Close()
-}
-
-// applyMessage folds one message's state update into a cut state.
-// Channel events are state-neutral: they occupy lattice positions
-// (they tick their thread's clock) but their Var is a channel name,
-// not a shared variable.
-func applyMessage(s logic.State, m event.Message) logic.State {
-	if m.Event.Kind.IsChannel() {
-		return s
-	}
-	return s.With(m.Event.Var, m.Event.Value)
 }
 
 // RunReport is the outcome of the exhaustive per-run analysis.

@@ -333,8 +333,8 @@ func decodeClockFull(buf []byte, off int, scratch []uint64, limit int) (comps []
 // the per-thread stream state a Receiver carries and are rejected here
 // with ErrDeltaContext. Failures are *FrameError values wrapping the
 // package sentinels, with Offset relative to the start of buf. The
-// clock is interned into the process-wide table; receivers use a
-// session-scoped table instead.
+// clock is interned into the process-wide table; receivers intern
+// theirs nowhere.
 func DecodeMessage(buf []byte) (event.Message, int, error) {
 	m, off, err := decodeEventFields(buf)
 	if err != nil {
@@ -634,15 +634,15 @@ type Receiver struct {
 	// one arrives, the current version is assumed). threads bounds every
 	// decoded clock's length: the Hello's thread count once one was
 	// delivered, MaxThreads before, so a peer cannot make the session
-	// hold clocks naming threads it never announced. table interns every
-	// clock of the session, so equal clock values decode to the same
-	// node; last holds, per thread, the clock of the last *delivered*
+	// hold clocks naming threads it never announced. Decoded clocks are
+	// interned nowhere (clock.New): by Theorem 3 no two messages of a
+	// session carry equal clocks, so a session table would never hit.
+	// last holds, per thread, the clock of the last *delivered*
 	// message — the base a v3 delta chains to. It is committed only on
 	// delivery (in Next), never during candidate parsing, so corrupt or
 	// duplicate frames cannot poison the chain.
 	version    int
 	threads    int
-	table      *clock.Table
 	last       map[int]clock.Ref
 	clkScratch []uint64
 
@@ -671,7 +671,6 @@ func NewReceiver(r io.Reader) *Receiver {
 		missing: map[uint64]struct{}{},
 		version: ProtocolVersion,
 		threads: MaxThreads,
-		table:   clock.NewTable(),
 		last:    map[int]clock.Ref{},
 	}
 }
@@ -971,9 +970,9 @@ func (r *Receiver) parseCandidate() (f Frame, payload []byte, size int, corrupt 
 }
 
 // decodeMessage decodes a message payload under the session's
-// negotiated protocol version, interning the clock into the session
-// table. Delta clocks are applied against the last delivered message
-// of the same thread; a broken chain (the predecessor was lost,
+// negotiated protocol version, building the clock in no table. Delta
+// clocks are applied against the last delivered message of the same
+// thread; a broken chain (the predecessor was lost,
 // corrupted, or this frame is a stale duplicate) fails with
 // ErrDeltaChain, which resync mode counts as a corrupt frame — the
 // thread's messages then skip until the sender's next full clock.
@@ -988,7 +987,7 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 			return m, err
 		}
 		r.clkScratch = comps
-		m.Clock = r.table.Intern(comps)
+		m.Clock = clock.New(comps)
 		return m, nil
 	}
 	if off >= len(payload) {
@@ -1003,7 +1002,7 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 			return m, err
 		}
 		r.clkScratch = comps
-		m.Clock = r.table.Intern(comps)
+		m.Clock = clock.New(comps)
 		return m, nil
 	case clockDelta:
 		prevOwn, n, err := getUvarint(payload[off:])
@@ -1058,7 +1057,7 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 			comps[idx] += inc
 		}
 		r.clkScratch = comps
-		m.Clock = r.table.Intern(comps)
+		m.Clock = clock.New(comps)
 		return m, nil
 	default:
 		return m, msgErr(off-1, "clock mode", ErrBadClockMode)
