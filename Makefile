@@ -40,12 +40,14 @@ fuzz:
 	$(GO) test ./internal/serve/ -fuzz FuzzHandshake -fuzztime 10s
 	$(GO) test ./internal/logic/ -fuzz FuzzSlotPred -fuzztime 10s
 
-# Quick fuzz smoke for verify: a few seconds over the frame decoder,
-# the session loop, the handshake and the compiled atoms, enough to
-# catch a decoder, observer, admission or atom-compiler regression
-# without stalling the gate.
+# Quick fuzz smoke for verify: a few seconds over the message decoder,
+# the stream receiver the binaries run (strict and resync, v3 deltas,
+# clocks bounded by the Hello), the session loop, the handshake and
+# the compiled atoms, enough to catch a decoder, observer, admission
+# or atom-compiler regression without stalling the gate.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 5s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReceiver -fuzztime 5s
 	$(GO) test ./internal/observer/ -run '^$$' -fuzz FuzzObserverSession -fuzztime 5s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzHandshake -fuzztime 5s
 	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzSlotPred -fuzztime 5s

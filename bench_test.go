@@ -12,11 +12,11 @@ package gompax
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"gompax/internal/causality"
 	"gompax/internal/clock"
 	"gompax/internal/driver"
 	"gompax/internal/event"
@@ -34,6 +34,7 @@ import (
 	"gompax/internal/race"
 	"gompax/internal/replay"
 	"gompax/internal/sched"
+	"gompax/internal/testsupport/causality"
 	"gompax/internal/trace"
 	"gompax/internal/wire"
 )
@@ -115,19 +116,40 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(msgs)), "msgs/op")
 	})
-	var encoded []byte
-	for _, m := range msgs {
-		encoded = wire.AppendMessage(encoded, m)
+	// decode times the decoder gompaxd runs: a strict Receiver over a
+	// whole session as a Sender frames it, delta clocks included.
+	var session bytes.Buffer
+	s := wire.NewSender(&session)
+	if err := s.SendHello(wire.Hello{Threads: 4, Initial: logic.StateFromMap(nil)}); err != nil {
+		b.Fatal(err)
 	}
+	for _, m := range msgs {
+		if err := s.SendMessage(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.SendBye(); err != nil {
+		b.Fatal(err)
+	}
+	raw := session.Bytes()
 	b.Run("decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rest := encoded
-			for len(rest) > 0 {
-				_, n, err := wire.DecodeMessage(rest)
+			r := wire.NewReceiver(bytes.NewReader(raw))
+			n := 0
+			for {
+				f, err := r.Next()
+				if errors.Is(err, wire.ErrClosed) {
+					break
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				rest = rest[n:]
+				if f.Kind == wire.FrameMessage {
+					n++
+				}
+			}
+			if n != len(msgs) {
+				b.Fatalf("decoded %d messages, want %d", n, len(msgs))
 			}
 		}
 		b.ReportMetric(float64(len(msgs)), "msgs/op")

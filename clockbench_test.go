@@ -19,6 +19,8 @@ import (
 	"gompax/internal/predict"
 	"gompax/internal/progs"
 	"gompax/internal/sched"
+	"gompax/internal/testsupport/vc"
+	"gompax/internal/testsupport/wirev2"
 	"gompax/internal/trace"
 	"gompax/internal/wire"
 )
@@ -110,12 +112,18 @@ func clockWorkloads() ([]clockWorkload, error) {
 // as interning-table construction.
 const pipelineRepeats = 25
 
-// ship frames a message stream and drains it back through a strict
-// receiver, returning the reconstructed session.
-func ship(w clockWorkload, buf *bytes.Buffer, s *wire.Sender, msgs []event.Message) (*observer.Session, error) {
-	if err := s.SendHello(wire.Hello{Threads: w.threads, Initial: w.initial}); err != nil {
-		return nil, err
-	}
+// sessionSender is what ship drives after the Hello: the production
+// v3 *wire.Sender or the legacy v2 encoder of package wirev2.
+type sessionSender interface {
+	SendMessage(event.Message) error
+	SendThreadDone(thread int) error
+	SendBye() error
+}
+
+// ship frames a message stream behind an already sent Hello and drains
+// it back through a strict receiver, returning the reconstructed
+// session.
+func ship(w clockWorkload, buf *bytes.Buffer, s sessionSender, msgs []event.Message) (*observer.Session, error) {
 	for _, m := range msgs {
 		if err := s.SendMessage(m); err != nil {
 			return nil, err
@@ -145,7 +153,11 @@ func pipelineInterned(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation,
 			tr.Process(event.Event{Thread: op.Thread, Kind: op.Kind, Var: op.Var, Value: op.Value})
 		}
 	}
-	sess, err := ship(w, buf, wire.NewSender(buf), col.Messages)
+	s := wire.NewSender(buf)
+	if err := s.SendHello(wire.Hello{Threads: w.threads, Initial: w.initial}); err != nil {
+		return nil, err
+	}
+	sess, err := ship(w, buf, s, col.Messages)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +185,11 @@ func pipelineLegacy(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, e
 	for k, lm := range tr.Msgs {
 		msgs[k] = event.Message{Event: lm.Event, Clock: wireTable.Intern(lm.Clock)}
 	}
-	sess, err := ship(w, buf, wire.NewSenderV2(buf), msgs)
+	s := wirev2.NewSender(buf)
+	if err := s.SendHello(w.threads, w.initial); err != nil {
+		return nil, err
+	}
+	sess, err := ship(w, buf, s, msgs)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +199,7 @@ func pipelineLegacy(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, e
 	analysisTable := clock.NewTable()
 	remsgs := make([]event.Message, len(sess.Messages))
 	for k, m := range sess.Messages {
-		parsed := m.Clock.VC()
+		parsed := vc.From(m.Clock)
 		remsgs[k] = event.Message{Event: m.Event, Clock: analysisTable.Intern(parsed)}
 	}
 	return lattice.NewComputation(sess.Hello.Initial, sess.Hello.Threads, remsgs)

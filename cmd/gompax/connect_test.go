@@ -11,6 +11,7 @@ import (
 
 	"gompax/internal/observer"
 	"gompax/internal/serve"
+	"gompax/internal/testsupport/wirev2"
 	"gompax/internal/wire"
 )
 
@@ -118,8 +119,8 @@ func TestV2CaptureReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v2 bytes.Buffer
-	s := wire.NewSenderV2(&v2)
-	if err := s.SendHello(sess.Hello); err != nil {
+	s := wirev2.NewSender(&v2)
+	if err := s.SendHello(sess.Hello.Threads, sess.Hello.Initial); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range sess.Messages {

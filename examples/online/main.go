@@ -91,6 +91,6 @@ func main() {
 	}
 	fmt.Printf("PREDICTED %d violation(s) from the successful run:\n", len(o.res.Violations))
 	for _, v := range o.res.Violations {
-		fmt.Printf("  level %d, state %s\n", v.Level, v.State.Tuple([]string{"landing", "approved", "radio"}))
+		fmt.Printf("  level %d, state %s\n", v.Cut.Level(), v.Cut.State().Tuple([]string{"landing", "approved", "radio"}))
 	}
 }

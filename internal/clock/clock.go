@@ -33,15 +33,13 @@
 // Values are normalized: trailing zero components are dropped, and the
 // zero Ref is the all-zeros clock. Normalization makes clocks that
 // compare Equal structurally identical regardless of how many implicit
-// zero components they were built with, mirroring vc.VC's Hash/Key
-// semantics.
+// zero components they were built with.
 //
 // Refs are safe for concurrent use (they are immutable); Tables are
 // internally sharded by digest so concurrent interning into a shared
-// table (Global is process-wide) does not serialize on one lock. The
-// mutable reference implementation remains package vc; package clock
-// is differentially tested against it (see
-// internal/lattice/latticecheck).
+// table (Global is process-wide) does not serialize on one lock.
+// The package's own tests and internal/lattice/latticecheck check it
+// against the mutable reference vectors of internal/testsupport/vc.
 package clock
 
 import (
@@ -49,8 +47,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"gompax/internal/vc"
 )
 
 // chunkShift selects 8 components per chunk: wide enough that the
@@ -164,21 +160,8 @@ func (r Ref) chunkAt(ci int) *chunk {
 	return r.p.chunks[ci]
 }
 
-// VC materializes the clock as a mutable vc.VC of length Len. The
-// result is fresh and safe to mutate.
-func (r Ref) VC() vc.VC {
-	if r.p == nil {
-		return nil
-	}
-	out := make(vc.VC, r.p.n)
-	for i := range out {
-		out[i] = r.p.chunks[i>>chunkShift][i&(chunkSize-1)]
-	}
-	return out
-}
-
-// Key returns the compact normalized string key, identical to
-// vc.VC.Key() of the same value. Unlike Digest it is collision-free;
+// Key returns the compact normalized string key: the components joined
+// by commas, trailing zeros dropped. Unlike Digest it is collision-free;
 // unlike the Ref itself it is stable across tables and processes.
 func (r Ref) Key() string {
 	n := r.Len()
@@ -635,6 +618,3 @@ func Global() *Table { return global }
 
 // Of interns the given components into the global table.
 func Of(comps ...uint64) Ref { return global.Intern(comps) }
-
-// FromVC interns a vc.VC into the global table.
-func FromVC(v vc.VC) Ref { return global.Intern(v) }

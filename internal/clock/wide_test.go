@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"gompax/internal/vc"
+	"gompax/internal/testsupport/vc"
 )
 
 // randVec draws a vector whose length is biased toward chunk edges and
@@ -260,7 +260,7 @@ func TestTickProbe(t *testing.T) {
 		if !Equal(c, want) || c.Len() != want.Len() || c.Sum() != want.Sum() || c.p == want.p {
 			t.Fatalf("it %d: Tick(r, %d) = %v, want an uninterned %v", it, i, c, want)
 		}
-		for _, got := range []Ref{c, want, other.Intern(want.VC())} {
+		for _, got := range []Ref{c, want, other.Intern(vc.From(want))} {
 			if !IsTick(got, r, i) {
 				t.Fatalf("it %d: IsTick rejects the successor %v of %v at %d", it, got, r, i)
 			}
@@ -271,10 +271,10 @@ func TestTickProbe(t *testing.T) {
 			j++
 		}
 		twice := tab.Tick(want, i)
-		negatives := []Ref{{}, r, twice, tab.Tick(r, j), other.Intern(twice.VC())}
+		negatives := []Ref{{}, r, twice, tab.Tick(r, j), other.Intern(vc.From(twice))}
 		// The same length and sum, one unit moved from another
 		// component to i.
-		if w := want.VC(); len(w) > 1 {
+		if w := vc.From(want); len(w) > 1 {
 			for k := 0; k < len(w)-1; k++ {
 				if k != i && w[k] > 0 {
 					w[k]--

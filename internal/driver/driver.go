@@ -283,7 +283,7 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "verdict:   PREDICTED %d violation(s)\n", len(r.Result.Violations))
 		order := logic.Vars(r.Formula)
 		for i, v := range r.Result.Violations {
-			fmt.Fprintf(&b, "  [%d] level %d, state %s\n", i+1, v.Level, v.State.Tuple(order))
+			fmt.Fprintf(&b, "  [%d] level %d, state %s\n", i+1, v.Cut.Level(), v.Cut.State().Tuple(order))
 			if v.Run != nil {
 				b.WriteString("      counterexample run: ")
 				for j, s := range v.Run.States {

@@ -52,9 +52,9 @@ func TestGoldenFig6Levels(t *testing.T) {
 		t.Fatalf("fig6 predicted %d violations, want 1", len(res.Violations))
 	}
 	v := res.Violations[0]
-	if v.Cut.Counts().Key() != "2,2" || v.Level != 4 || v.State.Key() != "x=1;y=1;z=1" {
+	if v.Cut.Key() != "2,2" || v.Cut.Level() != 4 || v.Cut.State().Key() != "x=1;y=1;z=1" {
 		t.Errorf("fig6 violation cut=%s level=%d state=%s, want 2,2/4/x=1;y=1;z=1",
-			v.Cut.Counts().Key(), v.Level, v.State.Key())
+			v.Cut.Key(), v.Cut.Level(), v.Cut.State().Key())
 	}
 }
 
@@ -78,7 +78,7 @@ func TestGoldenCrossingExample(t *testing.T) {
 	if len(rep.Result.Violations) != 1 {
 		t.Fatalf("crossing predicted %d violations, want 1", len(rep.Result.Violations))
 	}
-	if got := rep.Result.Violations[0].Cut.Counts().Key(); got != "2,2" {
+	if got := rep.Result.Violations[0].Cut.Key(); got != "2,2" {
 		t.Errorf("crossing violating cut %s, want 2,2", got)
 	}
 	if rep.ObservedViolation >= 0 {
@@ -111,8 +111,8 @@ func TestGoldenPetersonBroken(t *testing.T) {
 		t.Fatalf("peterson predicted %d violations, want 1", len(rep.Result.Violations))
 	}
 	v := rep.Result.Violations[0]
-	if v.Cut.Counts().Key() != "1,1" || v.Level != 2 {
-		t.Errorf("peterson violation cut=%s level=%d, want 1,1/2", v.Cut.Counts().Key(), v.Level)
+	if v.Cut.Key() != "1,1" || v.Cut.Level() != 2 {
+		t.Errorf("peterson violation cut=%s level=%d, want 1,1/2", v.Cut.Key(), v.Cut.Level())
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/logic"
-	"gompax/internal/vc"
 )
 
 // Computation is a reconstructed multithreaded computation: the
@@ -127,10 +126,6 @@ type Cut struct {
 func (c *Computation) Root() Cut {
 	return Cut{state: c.initial}
 }
-
-// Counts materializes the cut's per-thread event counts as a mutable
-// vector (trailing zero counts normalized away).
-func (cut Cut) Counts() vc.VC { return cut.counts.VC() }
 
 // Clock returns the cut's counts as the interned Ref itself.
 func (cut Cut) Clock() clock.Ref { return cut.counts }

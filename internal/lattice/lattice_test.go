@@ -5,11 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"gompax/internal/causality"
 	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/logic"
 	"gompax/internal/mvc"
+	"gompax/internal/testsupport/causality"
 	"gompax/internal/trace"
 )
 
@@ -283,7 +283,7 @@ func TestCutConsistency(t *testing.T) {
 		}
 		for id := 0; id < l.NumNodes(); id++ {
 			cut := l.Node(id).Cut
-			counts := cut.Counts()
+			counts := cut.Clock()
 			for i := 0; i < c.Threads(); i++ {
 				for k := 1; k <= int(counts.Get(i)); k++ {
 					v := c.Message(i, k).Clock

@@ -117,7 +117,7 @@ func TestDifferentialChannelExplorers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rootViolated := seq.Violated() && seq.Violations[0].Level == 0
+		rootViolated := seq.Violated() && seq.Violations[0].Cut.Level() == 0
 		if !rootViolated {
 			if got, want := seq.Stats.LevelWidths, levelWidths(l); !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d: LevelWidths %v, lattice %v", iter, got, want)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gompax/internal/causality"
 	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/lab"
@@ -12,7 +11,8 @@ import (
 	"gompax/internal/monitor"
 	"gompax/internal/mvc"
 	"gompax/internal/predict"
-	"gompax/internal/vc"
+	"gompax/internal/testsupport/causality"
+	"gompax/internal/testsupport/vc"
 )
 
 // analyzeAllModes runs one message stream through both explorer
@@ -103,7 +103,7 @@ func TestClockSubstrateParity(t *testing.T) {
 			if lm.Event != im.Event {
 				t.Fatalf("iter %d msg %d: events differ: %+v vs %+v", iter, k, lm.Event, im.Event)
 			}
-			if !vc.Equal(lm.Clock, im.Clock.VC()) {
+			if !vc.Equal(lm.Clock, vc.From(im.Clock)) {
 				t.Fatalf("iter %d msg %d: clocks differ: %v vs %v", iter, k, lm.Clock, im.Clock)
 			}
 		}

@@ -5,14 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"gompax/internal/causality"
 	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/lattice"
 	"gompax/internal/logic"
 	"gompax/internal/mvc"
+	"gompax/internal/testsupport/causality"
+	"gompax/internal/testsupport/vc"
 	"gompax/internal/trace"
-	"gompax/internal/vc"
 )
 
 // deepCase draws one deep-thread case: a random workload over far more
@@ -87,7 +87,7 @@ func TestDeepThreadClockParity(t *testing.T) {
 				if fm.Event != lm.Event {
 					t.Fatalf("msg %d: events differ: %+v vs %+v", k, fm.Event, lm.Event)
 				}
-				if !vc.Equal(lm.Clock, fm.Clock.VC()) || fm.Clock.Key() != lm.Clock.Key() {
+				if !vc.Equal(lm.Clock, vc.From(fm.Clock)) || fm.Clock.Key() != lm.Clock.Key() {
 					t.Fatalf("msg %d: legacy clock %v != clock %s", k, lm.Clock, fm.Clock)
 				}
 			}

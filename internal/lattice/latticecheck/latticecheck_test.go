@@ -23,7 +23,7 @@ import (
 func render(res predict.Result) string {
 	var b strings.Builder
 	for _, v := range res.Violations {
-		fmt.Fprintf(&b, "viol %s level=%d state=%s", v.Cut.Counts().Key(), v.Level, v.State.Key())
+		fmt.Fprintf(&b, "viol %s level=%d state=%s", v.Cut.Key(), v.Cut.Level(), v.Cut.State().Key())
 		if v.Run != nil {
 			b.WriteString(" run=")
 			for _, s := range v.Run.States {
@@ -88,7 +88,7 @@ func TestDifferentialExplorers(t *testing.T) {
 		// already violated at the initial state: analysis stops at the
 		// root (a safety violation's shortest witness), so only level 0
 		// is explored.
-		rootViolated := seq.Violated() && seq.Violations[0].Level == 0
+		rootViolated := seq.Violated() && seq.Violations[0].Cut.Level() == 0
 		if rootViolated {
 			if !reflect.DeepEqual(seq.Stats.LevelWidths, []int{1}) {
 				t.Fatalf("iter %d: root violated but LevelWidths %v", iter, seq.Stats.LevelWidths)

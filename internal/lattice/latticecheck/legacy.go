@@ -16,7 +16,7 @@ package latticecheck
 import (
 	"gompax/internal/event"
 	"gompax/internal/mvc"
-	"gompax/internal/vc"
+	"gompax/internal/testsupport/vc"
 )
 
 // LegacyMessage is a relevant-event message carrying a mutable legacy

@@ -79,15 +79,6 @@ func (p *Program) InitialState() map[string]int64 {
 	return m
 }
 
-// ChanCaps returns the declared channels' capacities by name.
-func (p *Program) ChanCaps() map[string]int64 {
-	m := make(map[string]int64, len(p.Chans))
-	for _, c := range p.Chans {
-		m[c.Name] = c.Cap
-	}
-	return m
-}
-
 // SharedNames returns the declared shared variable names in order.
 func (p *Program) SharedNames() []string {
 	out := make([]string, len(p.Shared))

@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"gompax/internal/causality"
 	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/mvc"
+	"gompax/internal/testsupport/causality"
 	"gompax/internal/trace"
 )
 

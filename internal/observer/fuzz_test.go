@@ -60,7 +60,7 @@ func FuzzObserverSession(f *testing.F) {
 		res, err := observer.AnalyzeSession([]*wire.Receiver{wire.NewResyncReceiver(bytes.NewReader(data))}, prog,
 			observer.SessionOptions{Predict: lossy})
 		observer.Analyze(wire.NewReceiver(bytes.NewReader(data)), prog, budget)
-		if err != nil || res.Degraded.Any() || res.Violated() && res.Violations[0].Level == 0 {
+		if err != nil || res.Degraded.Any() || res.Violated() && res.Violations[0].Cut.Level() == 0 {
 			return
 		}
 		s, derr := observer.Drain(wire.NewResyncReceiver(bytes.NewReader(data)))

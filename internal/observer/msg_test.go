@@ -13,6 +13,7 @@ import (
 	"gompax/internal/predict"
 	"gompax/internal/progs"
 	"gompax/internal/sched"
+	"gompax/internal/testsupport/wirev2"
 	"gompax/internal/wire"
 )
 
@@ -149,13 +150,13 @@ func TestChannelLossOnlyWeakensVerdicts(t *testing.T) {
 	}
 }
 
-// reencode replays a drained session through a fresh sender (v2 or v3)
-// and returns the raw bytes — a capture-and-replay round trip.
-func reencode(t *testing.T, s *observer.Session, mk func(*bytes.Buffer) *wire.Sender) []byte {
+// reencodeV2 replays a drained session through a legacy protocol v2
+// sender and returns the raw bytes — a capture-and-replay round trip.
+func reencodeV2(t *testing.T, s *observer.Session) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	snd := mk(&buf)
-	if err := snd.SendHello(s.Hello); err != nil {
+	snd := wirev2.NewSender(&buf)
+	if err := snd.SendHello(s.Hello.Threads, s.Hello.Initial); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range s.Messages {
@@ -182,8 +183,6 @@ func reencode(t *testing.T, s *observer.Session, mk func(*bytes.Buffer) *wire.Se
 // session yields no messaging report at all — its result is exactly
 // what the pre-channel observer produced.
 func TestV2CaptureReplay(t *testing.T) {
-	newV2 := func(b *bytes.Buffer) *wire.Sender { return wire.NewSenderV2(b) }
-
 	// Channel session through v2.
 	raw := streamChanSession(t, 11)
 	s, err := observer.Drain(wire.NewReceiver(bytes.NewReader(raw)))
@@ -195,7 +194,7 @@ func TestV2CaptureReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resV2, err := observer.Analyze(wire.NewReceiver(bytes.NewReader(reencode(t, s, newV2))), prog, predict.Options{})
+	resV2, err := observer.Analyze(wire.NewReceiver(bytes.NewReader(reencodeV2(t, s))), prog, predict.Options{})
 	if err != nil {
 		t.Fatalf("v2 replay of a channel session: %v", err)
 	}
@@ -218,7 +217,7 @@ func TestV2CaptureReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	lprog := monitor.MustCompile(logic.MustParseFormula(progs.LandingProperty))
-	lres, err := observer.Analyze(wire.NewReceiver(bytes.NewReader(reencode(t, ls, newV2))), lprog, predict.Options{})
+	lres, err := observer.Analyze(wire.NewReceiver(bytes.NewReader(reencodeV2(t, ls))), lprog, predict.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestOnlineAnalysisOverStream(t *testing.T) {
 		t.Fatalf("online analysis missed the violation")
 	}
 	for _, v := range res.Violations {
-		if got := v.State.Tuple([]string{"landing", "approved", "radio"}); got != "<1,1,0>" {
+		if got := v.Cut.State().Tuple([]string{"landing", "approved", "radio"}); got != "<1,1,0>" {
 			t.Fatalf("violation state %s", got)
 		}
 	}

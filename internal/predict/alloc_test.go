@@ -159,3 +159,14 @@ func TestPentrySizeClass(t *testing.T) {
 		t.Fatalf("pentry is %d bytes, want at most 104", got)
 	}
 }
+
+// TestViolationSize: a violation is its cut plus the counterexample
+// handle, 64 bytes. Result.Violations holds one per violating cut
+// (thousands on a wide violating lattice), so a field that copies what
+// the cut already holds is paid in every element and in every regrowth
+// of the slice.
+func TestViolationSize(t *testing.T) {
+	if got := unsafe.Sizeof(Violation{}); got != 64 {
+		t.Fatalf("Violation is %d bytes, want 64", got)
+	}
+}

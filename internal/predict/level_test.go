@@ -23,7 +23,7 @@ import (
 func renderResult(res Result) string {
 	var b strings.Builder
 	for _, v := range res.Violations {
-		fmt.Fprintf(&b, "viol %s level=%d state=%s", v.Cut.Counts().Key(), v.Level, v.State.Key())
+		fmt.Fprintf(&b, "viol %s level=%d state=%s", v.Cut.Key(), v.Cut.Level(), v.Cut.State().Key())
 		if v.Run != nil {
 			b.WriteString(" run=")
 			for _, s := range v.Run.States {

@@ -120,7 +120,7 @@ func newOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 	if verdict == monitor.Violated {
 		// A violated monitor state is not propagated: every extension is
 		// already reported at its shortest witness.
-		viol := Violation{Cut: lattice.NewCut(clock.Ref{}, initial), State: initial, Level: 0}
+		viol := Violation{Cut: lattice.NewCut(clock.Ref{}, initial)}
 		if opts.Counterexamples {
 			viol.Run = &lattice.Run{States: []logic.State{initial}}
 		}
@@ -419,8 +419,7 @@ func (o *Online) report(level []*pentry) (stop bool) {
 	o.result.Violations = slices.Grow(o.result.Violations, n)
 	slices.SortFunc(viols, func(a, b *pentry) int { return clock.Compare(a.counts, b.counts) })
 	for _, e := range viols {
-		state := o.initial.WithValues(e.vals)
-		viol := Violation{Cut: lattice.NewCut(e.counts, state), State: state, Level: int(e.counts.Sum())}
+		viol := Violation{Cut: lattice.NewCut(e.counts, o.initial.WithValues(e.vals))}
 		if o.opts.Counterexamples {
 			run := o.buildRun(e.viol.path)
 			viol.Run = &run

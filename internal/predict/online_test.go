@@ -63,7 +63,7 @@ func TestOnlineMatchesOfflineLanding(t *testing.T) {
 			t.Fatalf("perm %v: cuts %d, offline %d", p, res.Stats.Cuts, offline.Stats.Cuts)
 		}
 		for _, v := range res.Violations {
-			if got := v.State.Tuple([]string{"landing", "approved", "radio"}); got != "<1,1,0>" {
+			if got := v.Cut.State().Tuple([]string{"landing", "approved", "radio"}); got != "<1,1,0>" {
 				t.Fatalf("perm %v: violation state %s", p, got)
 			}
 		}
@@ -127,7 +127,7 @@ func TestOnlineViolationAtInitialState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.Violations()) != 1 || o.Violations()[0].Level != 0 {
+	if len(o.Violations()) != 1 || o.Violations()[0].Cut.Level() != 0 {
 		t.Fatalf("initial violation not reported: %v", o.Violations())
 	}
 	res, err := o.Close()
@@ -338,8 +338,8 @@ func TestUnboundWriteStateNeutral(t *testing.T) {
 					lossy, mode, res.Degraded, res.Stats.Cuts, res.Violations)
 			}
 			v := res.Violations[0]
-			if v.Level != 3 || v.State.String() != "{x=9}" || v.Run == nil || v.Run.States[3].String() != "{x=9}" {
-				t.Errorf("lossy=%v %s: violation at level %d in %s (run %v), want level 3 in {x=9}", lossy, mode, v.Level, v.State, v.Run)
+			if v.Cut.Level() != 3 || v.Cut.State().String() != "{x=9}" || v.Run == nil || v.Run.States[3].String() != "{x=9}" {
+				t.Errorf("lossy=%v %s: violation at level %d in %s (run %v), want level 3 in {x=9}", lossy, mode, v.Cut.Level(), v.Cut.State(), v.Run)
 			}
 		}
 	}

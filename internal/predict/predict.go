@@ -104,21 +104,18 @@ type Options struct {
 }
 
 // Violation is a predicted safety violation: a reachable global state
-// (cut) and a monitor that rejects there.
+// (cut) and a monitor that rejects there. The violating assignment and
+// its lattice level are the cut's: Cut.State() and Cut.Level().
 type Violation struct {
 	// Cut is the consistent global state at which the property fails.
 	Cut lattice.Cut
-	// State is the cut's variable assignment.
-	State logic.State
-	// Level is the lattice level of the cut.
-	Level int
 	// Run is a counterexample: the relevant-event path from the initial
 	// state to the violation. Populated only with Options.Counterexamples.
 	Run *lattice.Run
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("violation at level %d, cut %s, state %s", v.Level, v.Cut, v.State)
+	return fmt.Sprintf("violation at level %d, cut %s, state %s", v.Cut.Level(), v.Cut, v.Cut.State())
 }
 
 // Stats reports the work the analyzer did.

@@ -85,7 +85,7 @@ func TestLandingLattice(t *testing.T) {
 	}
 	// All violations occur when landing:=1 fires after radio:=0.
 	for _, v := range res.Violations {
-		if got := v.State.Tuple([]string{"landing", "approved", "radio"}); got != "<1,1,0>" {
+		if got := v.Cut.State().Tuple([]string{"landing", "approved", "radio"}); got != "<1,1,0>" {
 			t.Errorf("violation state = %s, want <1,1,0>", got)
 		}
 		if v.Run == nil {
@@ -147,11 +147,11 @@ func TestCrossingLattice(t *testing.T) {
 		t.Fatalf("predictive analyzer missed the violation")
 	}
 	v := res.Violations[0]
-	if got := v.State.Tuple([]string{"x", "y", "z"}); got != "<1,1,1>" {
+	if got := v.Cut.State().Tuple([]string{"x", "y", "z"}); got != "<1,1,1>" {
 		t.Errorf("violation state %s, want <1,1,1>", got)
 	}
-	if v.Level != 4 {
-		t.Errorf("violation level %d, want 4", v.Level)
+	if v.Cut.Level() != 4 {
+		t.Errorf("violation level %d, want 4", v.Cut.Level())
 	}
 }
 
@@ -359,7 +359,7 @@ func TestAnalyzeViolationAtInitialState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 || res.Violations[0].Level != 0 {
+	if len(res.Violations) != 1 || res.Violations[0].Cut.Level() != 0 {
 		t.Fatalf("want a single violation at level 0, got %v", res.Violations)
 	}
 	if res.Violations[0].Run == nil || len(res.Violations[0].Run.States) != 1 {
@@ -437,7 +437,7 @@ func TestAtomsEvaluatedOnlyWhereStepped(t *testing.T) {
 		t.Fatalf("offline error %v, online error %v", offErr, onErr)
 	}
 	for mode, res := range map[string]Result{"offline": off, "online": on} {
-		if res.Stats.Cuts != 3 || len(res.Violations) != 1 || res.Violations[0].Level != 1 {
+		if res.Stats.Cuts != 3 || len(res.Violations) != 1 || res.Violations[0].Cut.Level() != 1 {
 			t.Errorf("%s: %d cuts and violations %v, want 3 cuts and one violation at level 1", mode, res.Stats.Cuts, res.Violations)
 		}
 	}
@@ -462,7 +462,7 @@ func TestAnalyzeSixtyFourAtoms(t *testing.T) {
 		t.Fatalf("offline error %v, online error %v", offErr, onErr)
 	}
 	for mode, res := range map[string]Result{"offline": off, "online": on} {
-		if len(res.Violations) != 1 || res.Violations[0].Level != 2 || res.Violations[0].State.Key() != "x=5" {
+		if len(res.Violations) != 1 || res.Violations[0].Cut.Level() != 2 || res.Violations[0].Cut.State().Key() != "x=5" {
 			t.Errorf("%s: violations %v, want one at level 2 where x = 5", mode, res.Violations)
 		}
 	}

@@ -94,9 +94,6 @@ func (s *Scripted) Next(runnable []int) int {
 	return t
 }
 
-// Exhausted reports whether the whole script has been consumed.
-func (s *Scripted) Exhausted() bool { return s.pos >= len(s.Seq) }
-
 // DeadlockError reports that no thread was runnable while some were
 // still blocked.
 type DeadlockError struct {

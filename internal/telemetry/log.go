@@ -64,9 +64,6 @@ func InitLogging(level slog.Level, json bool, w io.Writer) {
 	rootLogger.Store(slog.New(h))
 }
 
-// SetLogLevel adjusts the minimum level without replacing the handler.
-func SetLogLevel(level slog.Level) { logLevel.Set(level) }
-
 // Logger returns the shared logger tagged with a component name.
 // Components are the pipeline layers: instrument, mvc, wire, observer,
 // predict, monitor, driver, cli. The logger writes through whichever

@@ -309,17 +309,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 // first use. Hot paths should cache the returned *Counter.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).counter }
 
-// GaugeVec is a family of gauges distinguished by label values.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, kindGauge, labels)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).gauge }
-
 // HistogramVec is a family of histograms distinguished by label values.
 type HistogramVec struct{ f *family }
 

@@ -2,15 +2,14 @@ package telemetry
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 )
 
 // Live introspection state backing /healthz and /statusz.
 //
-// Health: pipeline components report degradation with SetHealth and
-// recover with ClearHealth; /healthz is 200 while no component is
-// degraded and 503 otherwise, echoing the reasons. This is how PR 1's
+// Health: pipeline components report degradation with SetHealth;
+// /healthz is 200 while no component is degraded and 503 otherwise,
+// echoing the reasons. This is how PR 1's
 // Degraded report surfaces live: the observer marks the session
 // degraded (stalled channels, lossy threads, missing bye) the moment
 // it knows, not after the run ends.
@@ -30,20 +29,6 @@ var health = struct {
 func SetHealth(component, reason string) {
 	health.Lock()
 	health.degraded[component] = reason
-	health.Unlock()
-}
-
-// ClearHealth marks a component healthy again.
-func ClearHealth(component string) {
-	health.Lock()
-	delete(health.degraded, component)
-	health.Unlock()
-}
-
-// ResetHealth clears all degradation marks (a new run starts clean).
-func ResetHealth() {
-	health.Lock()
-	health.degraded = map[string]string{}
 	health.Unlock()
 }
 
@@ -87,18 +72,6 @@ func ClearStatus(section string) {
 	status.Lock()
 	delete(status.sections, section)
 	status.Unlock()
-}
-
-// StatusSections returns the current section names, sorted.
-func StatusSections() []string {
-	status.Lock()
-	defer status.Unlock()
-	out := make([]string, 0, len(status.sections))
-	for k := range status.sections {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // StatuszJSON marshals the merged status document with stable key

@@ -9,6 +9,7 @@ import (
 	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/logic"
+	"gompax/internal/testsupport/wirev2"
 )
 
 func channelMessages() []event.Message {
@@ -33,15 +34,15 @@ func channelMessages() []event.Message {
 func TestChannelEventCodecRoundTrip(t *testing.T) {
 	for _, m := range channelMessages() {
 		buf := AppendMessage(nil, m)
-		got, n, err := DecodeMessage(buf)
+		got, n, err := decodeMessage(buf)
 		if err != nil {
 			t.Fatalf("v3 decode %v: %v", m.Event.Kind, err)
 		}
 		if n != len(buf) || got.Event != m.Event || !clock.Equal(got.Clock, m.Clock) {
 			t.Fatalf("v3 round trip %v: %+v vs %+v", m.Event.Kind, got, m)
 		}
-		buf2 := AppendMessageV2(nil, m)
-		got2, n2, err := DecodeMessageV2(buf2)
+		buf2 := wirev2.AppendMessage(nil, m)
+		got2, n2, err := decodeMessageV2(buf2)
 		if err != nil {
 			t.Fatalf("v2 decode %v: %v", m.Event.Kind, err)
 		}
@@ -54,7 +55,7 @@ func TestChannelEventCodecRoundTrip(t *testing.T) {
 func TestChannelEventCodecTruncation(t *testing.T) {
 	buf := AppendMessage(nil, channelMessages()[0]) // has a long Aux
 	for i := 0; i < len(buf); i++ {
-		if _, _, err := DecodeMessage(buf[:i]); err == nil {
+		if _, _, err := decodeMessage(buf[:i]); err == nil {
 			t.Fatalf("accepted truncation at %d", i)
 		}
 	}
@@ -75,7 +76,7 @@ func TestNonChannelEncodingUnchanged(t *testing.T) {
 	want = binary.AppendUvarint(want, uint64(len(m.Event.Var)))
 	want = append(want, m.Event.Var...)
 	want = binary.AppendVarint(want, m.Event.Value)
-	got := AppendMessageV2(nil, m)
+	got := AppendMessage(nil, m)
 	// Strip the clock suffix: the event prefix must match exactly.
 	if !bytes.HasPrefix(got, want) {
 		t.Fatalf("non-channel event encoding changed:\n got %x\nwant prefix %x", got, want)
@@ -102,8 +103,8 @@ func TestChannelSessionRoundTrip(t *testing.T) {
 		{Event: event.Event{Seq: 6, Thread: 1, Index: 3, Kind: event.ChanRecvClosed, Var: "c",
 			Relevant: true}, Clock: clock.Of(3, 3)},
 	}
-	for name, mk := range map[string]func(io.Writer) *Sender{
-		"v3": NewSender, "v2": NewSenderV2,
+	for name, mk := range map[string]func(io.Writer) sender{
+		"v3": func(w io.Writer) sender { return NewSender(w) }, "v2": newSenderV2,
 	} {
 		var buf bytes.Buffer
 		s := mk(&buf)

@@ -34,15 +34,10 @@ var (
 	// delivered message of its thread (the predecessor was lost,
 	// corrupt, or the frame is a stale duplicate).
 	ErrDeltaChain = fmt.Errorf("%w: delta clock chain broken", ErrBadFrame)
-	// ErrDeltaContext: a delta-encoded clock was decoded statelessly
-	// (DecodeMessage); only a Receiver carries the chain state.
-	ErrDeltaContext = fmt.Errorf("%w: delta clock needs stream context", ErrBadFrame)
 )
 
 // FrameError reports where and how a frame failed to decode. Offset is
-// the byte offset of the failure: absolute within the stream for
-// errors reported by Receiver.Next, relative to the start of the
-// payload for the standalone codec functions (DecodeMessage).
+// the byte offset of the failure within the stream.
 type FrameError struct {
 	Kind   FrameKind // frame kind, if it was readable (0 otherwise)
 	Offset int64

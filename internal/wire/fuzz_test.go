@@ -24,7 +24,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, n, err := DecodeMessage(data)
+		m, n, err := decodeMessage(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("decode error %v does not wrap ErrBadFrame", err)
@@ -35,7 +35,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		re := AppendMessage(nil, m)
-		m2, _, err := DecodeMessage(re)
+		m2, _, err := decodeMessage(re)
 		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)
 		}
@@ -46,10 +46,14 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 // fuzzSession encodes a fixed full session (Hello, Messages,
-// ThreadDone, Bye) for the stream fuzzers.
-func fuzzSession() []byte {
+// ThreadDone, Bye) for the stream fuzzers, in the current protocol or,
+// with v2 set, in legacy v2.
+func fuzzSession(v2 bool) []byte {
 	var buf bytes.Buffer
-	s := NewSender(&buf)
+	var s sender = NewSender(&buf)
+	if v2 {
+		s = newSenderV2(&buf)
+	}
 	s.SendHello(Hello{Threads: 2, Initial: logic.StateFromMap(map[string]int64{"x": 1})})
 	for _, m := range []event.Message{
 		{Event: event.Event{Thread: 0, Index: 1, Kind: event.Write, Var: "x", Value: 5, Relevant: true}, Clock: clock.Of(1, 0)},
@@ -68,9 +72,10 @@ func fuzzSession() []byte {
 // byte streams: no panics, guaranteed termination, and in resync mode
 // consistent accounting.
 func FuzzReceiver(f *testing.F) {
-	f.Add(fuzzSession())
+	f.Add(fuzzSession(false))
 	f.Add([]byte{frameMagic, byte(FrameMessage), 1, 3, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{frameMagic, frameMagic, frameMagic})
+	f.Add(fuzzSession(true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Strict mode: reads frames until the first error.
 		r := NewReceiver(bytes.NewReader(data))
@@ -113,7 +118,7 @@ func FuzzSessionFaults(f *testing.F) {
 	f.Add(int64(99), byte(255), byte(0), byte(0), byte(0), byte(0))
 	f.Add(int64(7), byte(0), byte(255), byte(255), byte(255), byte(255))
 	f.Fuzz(func(t *testing.T, seed int64, drop, corrupt, trunc, dup, delay byte) {
-		raw := fuzzSession()
+		raw := fuzzSession(false)
 		rate := func(b byte) float64 { return float64(b) / 255 }
 		var damaged bytes.Buffer
 		fw := NewFaultWriter(&damaged, FaultPlan{

@@ -11,6 +11,7 @@ import (
 	"gompax/internal/clock"
 	"gompax/internal/event"
 	"gompax/internal/logic"
+	"gompax/internal/testsupport/wirev2"
 )
 
 // chainMessages builds per-thread message chains whose clocks grow the
@@ -40,7 +41,7 @@ func chainMessages(rng *rand.Rand, threads, count int) []event.Message {
 }
 
 // encodeSession writes a full session for msgs with the given sender.
-func encodeSession(t *testing.T, s *Sender, threads int, msgs []event.Message) {
+func encodeSession(t *testing.T, s sender, threads int, msgs []event.Message) {
 	t.Helper()
 	if err := s.SendHello(Hello{Threads: threads}); err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestDeltaRoundTripLongChains(t *testing.T) {
 
 	var v3, v2 bytes.Buffer
 	encodeSession(t, NewSender(&v3), 16, msgs)
-	encodeSession(t, NewSenderV2(&v2), 16, msgs)
+	encodeSession(t, newSenderV2(&v2), 16, msgs)
 	if v3.Len() >= v2.Len() {
 		t.Fatalf("v3 session (%dB) not smaller than v2 (%dB): deltas never engaged", v3.Len(), v2.Len())
 	}
@@ -137,7 +138,7 @@ func FuzzDeltaSession(f *testing.F) {
 func TestCrossVersionSession(t *testing.T) {
 	msgs := sampleMessages()
 	var buf bytes.Buffer
-	s := NewSenderV2(&buf)
+	s := newSenderV2(&buf)
 	if err := s.SendHello(Hello{Threads: 3, Initial: logic.StateFromMap(map[string]int64{"x": -1})}); err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +174,8 @@ func TestCrossVersionSession(t *testing.T) {
 
 	// The stateless v2 helpers agree with the stream codec.
 	for _, m := range msgs {
-		enc := AppendMessageV2(nil, m)
-		got, n, err := DecodeMessageV2(enc)
+		enc := wirev2.AppendMessage(nil, m)
+		got, n, err := decodeMessageV2(enc)
 		if err != nil || n != len(enc) {
 			t.Fatalf("DecodeMessageV2: n=%d err=%v", n, err)
 		}
@@ -185,11 +186,11 @@ func TestCrossVersionSession(t *testing.T) {
 
 	// A v2 payload fed to the v3 stateless decoder fails cleanly: the
 	// first clock byte is a component count, not a valid mode.
-	bad := AppendMessageV2(nil, event.Message{
+	bad := wirev2.AppendMessage(nil, event.Message{
 		Event: event.Event{Thread: 0, Index: 1, Kind: event.Write, Var: "x", Relevant: true},
 		Clock: clock.Of(7, 7),
 	})
-	if _, _, err := DecodeMessage(bad); !errors.Is(err, ErrBadClockMode) {
+	if _, _, err := decodeMessage(bad); !errors.Is(err, ErrBadClockMode) {
 		t.Fatalf("v2 payload under v3 decoder: got %v, want ErrBadClockMode", err)
 	}
 }
@@ -341,7 +342,7 @@ func TestDeltaCrossRepresentation(t *testing.T) {
 		msgs := chainMessages(rand.New(rand.NewSource(42)), tc.threads, tc.count)
 		var v3, v2 bytes.Buffer
 		encodeSession(t, NewSender(&v3), tc.threads, msgs)
-		encodeSession(t, NewSenderV2(&v2), tc.threads, msgs)
+		encodeSession(t, newSenderV2(&v2), tc.threads, msgs)
 		for name, buf := range map[string]*bytes.Buffer{"v3": &v3, "v2": &v2} {
 			got := drainMessages(t, NewReceiver(buf))
 			if len(got) != len(msgs) {

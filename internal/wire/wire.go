@@ -37,8 +37,8 @@
 // that discarded frames regains its footing; a delta frame whose
 // chain check fails (its predecessor was lost or corrupted) counts as
 // a corrupt frame and is skipped until the next full clock arrives.
-// Receivers decode either version, selected by the Hello; senders
-// default to 3 and can be pinned to 2 for old peers (NewSenderV2).
+// Receivers decode either version, selected by the Hello, so old
+// captures and old clients keep working; senders write version 3.
 package wire
 
 import (
@@ -93,9 +93,8 @@ func (k FrameKind) String() string {
 // clocks only) is still accepted by receivers.
 const ProtocolVersion = 3
 
-// ProtocolVersionV2 is the previous protocol version, kept encodable
-// (NewSenderV2) and decodable so old captures and old clients keep
-// working against new observers.
+// ProtocolVersionV2 is the previous protocol version, still decoded so
+// old captures and old clients keep working against new observers.
 const ProtocolVersionV2 = 2
 
 // Clock encoding modes inside a v3 message payload.
@@ -121,7 +120,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // bound as a malformed frame. It is 64x the largest program in use
 // (progs.DeepFanIn at 1,024 threads). A receiver bounds each decoded
 // clock's length by the Hello's thread count, and by MaxThreads before
-// a Hello arrives and in the stateless DecodeMessage.
+// a Hello arrives.
 const MaxThreads = 1 << 16
 
 // Hello is the session-opening frame payload.
@@ -135,8 +134,7 @@ type Hello struct {
 
 // Frame is a decoded wire frame. Msg is a value, not a pointer: the
 // receiver decodes straight into it, so delivering a message frame
-// allocates nothing beyond the interned clock node (and not even that
-// when the value was seen before).
+// allocates nothing beyond the clock node.
 type Frame struct {
 	Kind   FrameKind
 	Seq    uint64 // per-channel sequence number (1-based)
@@ -219,15 +217,6 @@ func appendClockFull(buf []byte, r clock.Ref) []byte {
 func AppendMessage(buf []byte, m event.Message) []byte {
 	buf = appendEventFields(buf, m)
 	buf = append(buf, clockFull)
-	return appendClockFull(buf, m.Clock)
-}
-
-// AppendMessageV2 encodes an observer message in legacy protocol v2
-// (full clock, no mode byte), byte-identical to what a v2 sender
-// produces. It exists for cross-version tests and for writing captures
-// an old observer can replay.
-func AppendMessageV2(buf []byte, m event.Message) []byte {
-	buf = appendEventFields(buf, m)
 	return appendClockFull(buf, m.Clock)
 }
 
@@ -328,55 +317,8 @@ func decodeClockFull(buf []byte, off int, scratch []uint64, limit int) (comps []
 	return scratch, pos - off, nil
 }
 
-// DecodeMessage decodes a protocol v3 message produced by
-// AppendMessage, returning the bytes consumed. Delta-mode clocks need
-// the per-thread stream state a Receiver carries and are rejected here
-// with ErrDeltaContext. Failures are *FrameError values wrapping the
-// package sentinels, with Offset relative to the start of buf. The
-// clock is interned into the process-wide table; receivers intern
-// theirs nowhere.
-func DecodeMessage(buf []byte) (event.Message, int, error) {
-	m, off, err := decodeEventFields(buf)
-	if err != nil {
-		return m, 0, err
-	}
-	if off >= len(buf) {
-		return m, 0, msgErr(off, "clock mode", ErrTruncated)
-	}
-	mode := buf[off]
-	off++
-	switch mode {
-	case clockFull:
-		comps, n, err := decodeClockFull(buf, off, nil, MaxThreads)
-		if err != nil {
-			return m, 0, err
-		}
-		m.Clock = clock.Global().Intern(comps)
-		return m, off + n, nil
-	case clockDelta:
-		return m, 0, msgErr(off-1, "clock mode", ErrDeltaContext)
-	default:
-		return m, 0, msgErr(off-1, "clock mode", ErrBadClockMode)
-	}
-}
-
-// DecodeMessageV2 decodes a legacy protocol v2 message produced by
-// AppendMessageV2, returning the bytes consumed.
-func DecodeMessageV2(buf []byte) (event.Message, int, error) {
-	m, off, err := decodeEventFields(buf)
-	if err != nil {
-		return m, 0, err
-	}
-	comps, n, err := decodeClockFull(buf, off, nil, MaxThreads)
-	if err != nil {
-		return m, 0, err
-	}
-	m.Clock = clock.Global().Intern(comps)
-	return m, off + n, nil
-}
-
-func appendHello(buf []byte, h Hello, version byte) []byte {
-	buf = append(buf, version)
+func appendHello(buf []byte, h Hello) []byte {
+	buf = append(buf, ProtocolVersion)
 	buf = binary.AppendUvarint(buf, uint64(h.Threads))
 	vars := h.Initial.Vars()
 	buf = binary.AppendUvarint(buf, uint64(len(vars)))
@@ -451,37 +393,28 @@ func decodeHello(buf []byte) (Hello, error) {
 // deployment the paper mentions). Each Sender numbers its frames with
 // its own sequence counter: one Sender = one wire channel.
 //
-// A v3 sender keeps, per thread, the clock of that thread's previous
-// message on this channel and delta-encodes against it, refreshing
-// with a full clock every deltaRefresh messages.
+// A Sender writes the current protocol version. It keeps, per thread,
+// the clock of that thread's previous message on this channel and
+// delta-encodes against it, refreshing with a full clock every
+// deltaRefresh messages.
 type Sender struct {
-	w       *bufio.Writer
-	buf     []byte
-	hdr     []byte
-	seq     uint64
-	version int
-	prev    map[int]clock.Ref // thread -> clock of its previous message
-	fresh   map[int]int       // thread -> messages since last full clock
-	dIdx    []int             // delta scratch: changed component indexes
-	dInc    []uint64          // delta scratch: increments
+	w     *bufio.Writer
+	buf   []byte
+	hdr   []byte
+	seq   uint64
+	prev  map[int]clock.Ref // thread -> clock of its previous message
+	fresh map[int]int       // thread -> messages since last full clock
+	dIdx  []int             // delta scratch: changed component indexes
+	dInc  []uint64          // delta scratch: increments
 }
 
 // NewSender wraps a writer in the current protocol version.
 func NewSender(w io.Writer) *Sender {
 	return &Sender{
-		w:       bufio.NewWriter(w),
-		version: ProtocolVersion,
-		prev:    map[int]clock.Ref{},
-		fresh:   map[int]int{},
+		w:     bufio.NewWriter(w),
+		prev:  map[int]clock.Ref{},
+		fresh: map[int]int{},
 	}
-}
-
-// NewSenderV2 wraps a writer pinned to legacy protocol v2 (full clock
-// per message): the shape of an old client talking to a new observer.
-func NewSenderV2(w io.Writer) *Sender {
-	s := NewSender(w)
-	s.version = ProtocolVersionV2
-	return s
 }
 
 func (s *Sender) frame(kind FrameKind, payload []byte) error {
@@ -492,33 +425,26 @@ func (s *Sender) frame(kind FrameKind, payload []byte) error {
 	s.hdr = binary.AppendUvarint(s.hdr, uint64(len(payload)))
 	crc := crc32.Update(0, castagnoli, s.hdr[1:]) // kind, seq, len
 	crc = crc32.Update(crc, castagnoli, payload)
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], crc)
+	// The checksum goes out with the header: a [4]byte of its own would
+	// escape through the buffered writer, one allocation per frame.
+	s.hdr = binary.LittleEndian.AppendUint32(s.hdr, crc)
 	if _, err := s.w.Write(s.hdr); err != nil {
-		return err
-	}
-	if _, err := s.w.Write(cb[:]); err != nil {
 		return err
 	}
 	_, err := s.w.Write(payload)
 	return err
 }
 
-// SendHello opens the session, announcing the sender's protocol
-// version.
+// SendHello opens the session, announcing the protocol version.
 func (s *Sender) SendHello(h Hello) error {
-	s.buf = appendHello(s.buf[:0], h, byte(s.version))
+	s.buf = appendHello(s.buf[:0], h)
 	return s.frame(FrameHello, s.buf)
 }
 
-// SendMessage emits one observer message. In v3 the clock is delta
-// encoded against the thread's previous message whenever the chain
-// allows it and a refresh is not due.
+// SendMessage emits one observer message. The clock is delta encoded
+// against the thread's previous message whenever the chain allows it
+// and a refresh is not due.
 func (s *Sender) SendMessage(m event.Message) error {
-	if s.version == ProtocolVersionV2 {
-		s.buf = AppendMessageV2(s.buf[:0], m)
-		return s.frame(FrameMessage, s.buf)
-	}
 	thread := m.Event.Thread
 	prev, chained := s.prev[thread]
 	if chained && s.fresh[thread] < deltaRefresh-1 && s.tryDelta(prev, m) {

@@ -30,7 +30,7 @@ func sampleMessages() []event.Message {
 func TestMessageCodecRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
 		buf := AppendMessage(nil, m)
-		got, n, err := DecodeMessage(buf)
+		got, n, err := decodeMessage(buf)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -46,7 +46,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 func TestMessageCodecTruncation(t *testing.T) {
 	buf := AppendMessage(nil, sampleMessages()[1])
 	for i := 0; i < len(buf); i++ {
-		if _, _, err := DecodeMessage(buf[:i]); err == nil {
+		if _, _, err := decodeMessage(buf[:i]); err == nil {
 			t.Fatalf("accepted truncation at %d", i)
 		}
 	}
