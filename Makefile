@@ -68,12 +68,13 @@ bench-lattice:
 # outside `go test ./...`, importing gompax through a replace) and run
 # every workload at tiny size on the default and held-out seeds,
 # checking the exact metric set and zero failed sessions. This is the
-# one check that catches a gompax API change breaking the benchmark.
+# one check that catches a gompax API change breaking the benchmark,
+# so make verify runs it.
 bench-selftest:
 	python3 perfbench/selftest.py
 
 # Clock substrate gate: the BenchmarkPipelineClocks workloads on the
-# interned clock.Ref pipeline must allocate at least 20% less per op
+# persistent clock.Ref pipeline must allocate at least 20% less per op
 # than the legacy vc.VC pipeline. Regenerates BENCH_clock.json from
 # the measured numbers (alloc counts are deterministic, so this gate
 # is safe on shared hardware).
@@ -113,4 +114,4 @@ lab-gate:
 gate:
 	GO=$(GO) bash scripts/gate.sh
 
-verify: build fmt-check vet race fuzz-smoke bench-smoke bench-clock telemetry-gate serve-smoke crash-gate
+verify: build fmt-check vet race fuzz-smoke bench-smoke bench-clock bench-selftest telemetry-gate serve-smoke crash-gate

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -106,29 +107,32 @@ func benchMessages(n int) []event.Message {
 
 func BenchmarkWireCodec(b *testing.B) {
 	msgs := benchMessages(1024)
+	send := func(w io.Writer) error {
+		s := wire.NewSender(w)
+		if err := s.SendHello(wire.Hello{Threads: 4, Initial: logic.StateFromMap(nil)}); err != nil {
+			return err
+		}
+		for _, m := range msgs {
+			if err := s.SendMessage(m); err != nil {
+				return err
+			}
+		}
+		return s.SendBye()
+	}
+	// encode times the encoder the binaries run: a Sender framing a
+	// whole session, delta clocks included, into a discarding writer.
 	b.Run("encode", func(b *testing.B) {
-		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf = buf[:0]
-			for _, m := range msgs {
-				buf = wire.AppendMessage(buf, m)
+			if err := send(io.Discard); err != nil {
+				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(len(msgs)), "msgs/op")
 	})
 	// decode times the decoder gompaxd runs: a strict Receiver over a
-	// whole session as a Sender frames it, delta clocks included.
+	// whole session as a Sender frames it.
 	var session bytes.Buffer
-	s := wire.NewSender(&session)
-	if err := s.SendHello(wire.Hello{Threads: 4, Initial: logic.StateFromMap(nil)}); err != nil {
-		b.Fatal(err)
-	}
-	for _, m := range msgs {
-		if err := s.SendMessage(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.SendBye(); err != nil {
+	if err := send(&session); err != nil {
 		b.Fatal(err)
 	}
 	raw := session.Bytes()
@@ -309,7 +313,7 @@ func hypercube(k int) (*lattice.Computation, *monitor.Program, error) {
 		m[name] = 0
 		msgs = append(msgs, event.Message{
 			Event: event.Event{Thread: i, Index: 1, Kind: event.Write, Var: name, Value: 1, Relevant: true},
-			Clock: clock.Global().Tick(clock.Ref{}, i),
+			Clock: clock.Tick(clock.Ref{}, i),
 		})
 	}
 	comp, err := lattice.NewComputation(logic.StateFromMap(m), k, msgs)
@@ -357,7 +361,7 @@ func benchGrid(threads, perThread int) (*lattice.Computation, *monitor.Program, 
 			comps[i] = uint64(k)
 			msgs = append(msgs, event.Message{
 				Event: event.Event{Thread: i, Index: uint64(k), Kind: event.Write, Var: name, Value: int64(k), Relevant: true},
-				Clock: clock.Global().Intern(comps),
+				Clock: clock.New(comps),
 			})
 		}
 	}
@@ -405,7 +409,7 @@ func benchPulses(pulses int) (*lattice.Computation, []event.Message, *monitor.Pr
 			comps[i] = uint64(k)
 			msgs = append(msgs, event.Message{
 				Event: event.Event{Thread: i, Index: uint64(k), Kind: event.Write, Var: name, Value: int64(k % 2), Relevant: true},
-				Clock: clock.Global().Intern(comps),
+				Clock: clock.New(comps),
 			})
 		}
 	}

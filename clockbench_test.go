@@ -109,7 +109,7 @@ func clockWorkloads() ([]clockWorkload, error) {
 // pipelineRepeats stretches each recorded execution into a long
 // monitored session (the program's loop body observed many times), so
 // the per-event clock-substrate costs dominate per-session setup such
-// as interning-table construction.
+// as tracker construction.
 const pipelineRepeats = 25
 
 // sessionSender is what ship drives after the Hello: the production
@@ -140,12 +140,12 @@ func ship(w clockWorkload, buf *bytes.Buffer, s sessionSender, msgs []event.Mess
 	return observer.Drain(wire.NewReceiver(buf))
 }
 
-// pipelineInterned runs the production observer pipeline end to end on
-// the interned substrate: Algorithm A on a hash-consing tracker whose
+// pipelinePersistent runs the production observer pipeline end to end
+// on the persistent clock.Ref substrate: Algorithm A on a tracker whose
 // emission shares the thread's clock handle, v3 delta wire encoding,
-// receiver-side clocks built in no table, and computation
+// receiver-side clocks built with clock.New, and computation
 // reconstruction directly over the received Refs.
-func pipelineInterned(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, error) {
+func pipelinePersistent(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, error) {
 	col := &mvc.Collector{}
 	tr := mvc.NewTracker(w.threads, w.policy, col)
 	for r := 0; r < pipelineRepeats; r++ {
@@ -164,14 +164,14 @@ func pipelineInterned(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation,
 	return sess.Computation()
 }
 
-// pipelineLegacy reconstructs the pre-interning pipeline's
-// representation boundaries: Algorithm A on mutable vc.VC vectors
+// pipelineLegacy reconstructs the vc.VC pipeline's representation
+// boundaries: Algorithm A on mutable vc.VC vectors
 // (clones on the write step and on every emission), a fresh wire-layer
 // value per message framed with full v2 clocks, an observer that
 // materializes a mutable vector per received message (the old
-// re-parse step), and an analysis layer that re-keys those vectors
-// into its own canonical form. Every layer boundary copies — exactly
-// the structure the interned substrate collapses into one shared node.
+// re-parse step), and an analysis layer that rebuilds those vectors
+// as its own values. Every layer boundary copies — exactly the
+// structure the persistent substrate collapses into one shared node.
 func pipelineLegacy(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, error) {
 	tr := latticecheck.NewLegacyTracker(w.threads, w.policy)
 	for r := 0; r < pipelineRepeats; r++ {
@@ -180,10 +180,9 @@ func pipelineLegacy(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, e
 		}
 	}
 	// Tracker → wire boundary: one wire value per message.
-	wireTable := clock.NewTable()
 	msgs := make([]event.Message, len(tr.Msgs))
 	for k, lm := range tr.Msgs {
-		msgs[k] = event.Message{Event: lm.Event, Clock: wireTable.Intern(lm.Clock)}
+		msgs[k] = event.Message{Event: lm.Event, Clock: clock.New(lm.Clock)}
 	}
 	s := wirev2.NewSender(buf)
 	if err := s.SendHello(w.threads, w.initial); err != nil {
@@ -194,13 +193,12 @@ func pipelineLegacy(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, e
 		return nil, err
 	}
 	// Wire → observer boundary: parse a mutable vector per message,
-	// then observer → analysis boundary: re-key into the analyzer's
-	// canonical representation.
-	analysisTable := clock.NewTable()
+	// then observer → analysis boundary: rebuild into the analyzer's
+	// own values.
 	remsgs := make([]event.Message, len(sess.Messages))
 	for k, m := range sess.Messages {
 		parsed := vc.From(m.Clock)
-		remsgs[k] = event.Message{Event: m.Event, Clock: analysisTable.Intern(parsed)}
+		remsgs[k] = event.Message{Event: m.Event, Clock: clock.New(parsed)}
 	}
 	return lattice.NewComputation(sess.Hello.Initial, sess.Hello.Threads, remsgs)
 }
@@ -208,11 +206,11 @@ func pipelineLegacy(w clockWorkload, buf *bytes.Buffer) (*lattice.Computation, e
 // BenchmarkPipelineClocks measures the observer pipeline — Algorithm A
 // tracking, wire framing, receive, computation reconstruction — on
 // both clock substrates for the two paper workloads. Lattice
-// exploration is deliberately excluded: the explorers run on the
-// already-canonical clocks either way and are benchmarked by
-// BenchmarkExplore* against BENCH_lattice.json. The alloc gate in
-// clockgate_test.go turns this legacy-vs-interned allocs/op spread
-// into a regression bound recorded in BENCH_clock.json.
+// exploration is deliberately excluded: the explorers run on clock.Ref
+// values either way and are benchmarked by BenchmarkExplore* against
+// BENCH_lattice.json. The alloc gate in clockgate_test.go turns this
+// legacy-vs-persistent allocs/op spread into a regression bound
+// recorded in BENCH_clock.json.
 func BenchmarkPipelineClocks(b *testing.B) {
 	works, err := clockWorkloads()
 	if err != nil {
@@ -222,7 +220,7 @@ func BenchmarkPipelineClocks(b *testing.B) {
 		wantMsgs := 0
 		{
 			var buf bytes.Buffer
-			comp, err := pipelineInterned(w, &buf)
+			comp, err := pipelinePersistent(w, &buf)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -233,7 +231,7 @@ func BenchmarkPipelineClocks(b *testing.B) {
 			run  func(clockWorkload, *bytes.Buffer) (*lattice.Computation, error)
 		}{
 			{"legacy", pipelineLegacy},
-			{"interned", pipelineInterned},
+			{"persistent", pipelinePersistent},
 		} {
 			b.Run(w.name+"/"+arm.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -263,8 +261,8 @@ func TestPipelineClockArmsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range works {
-		var bi, bl bytes.Buffer
-		compI, err := pipelineInterned(w, &bi)
+		var bp, bl bytes.Buffer
+		compP, err := pipelinePersistent(w, &bp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +270,7 @@ func TestPipelineClockArmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resI, err := predict.Analyze(w.prog, compI, predict.Options{})
+		resP, err := predict.Analyze(w.prog, compP, predict.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,9 +278,9 @@ func TestPipelineClockArmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprintf("%+v", resI.Stats) != fmt.Sprintf("%+v", resL.Stats) ||
-			len(resI.Violations) != len(resL.Violations) {
-			t.Fatalf("%s: arms diverged: interned %+v vs legacy %+v", w.name, resI.Stats, resL.Stats)
+		if fmt.Sprintf("%+v", resP.Stats) != fmt.Sprintf("%+v", resL.Stats) ||
+			len(resP.Violations) != len(resL.Violations) {
+			t.Fatalf("%s: arms diverged: persistent %+v vs legacy %+v", w.name, resP.Stats, resL.Stats)
 		}
 	}
 }

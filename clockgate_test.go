@@ -8,20 +8,20 @@ import (
 	"testing"
 )
 
-// clockGateBudget is the minimum allocs/op reduction the interned
+// clockGateBudget is the minimum allocs/op reduction the persistent
 // clock substrate must hold over the legacy vc.VC pipeline on both
 // paper workloads.
 const clockGateBudget = 20.0
 
 type clockGateResult struct {
-	Workload        string  `json:"workload"`
-	Messages        int     `json:"messages"`
-	LegacyAllocs    float64 `json:"legacy_allocs_per_op"`
-	InternedAllocs  float64 `json:"interned_allocs_per_op"`
-	ReductionPct    float64 `json:"reduction_percent"`
-	BudgetPct       float64 `json:"budget_percent"`
-	MeetsBudget     bool    `json:"meets_budget"`
-	PipelineRepeats int     `json:"pipeline_repeats"`
+	Workload         string  `json:"workload"`
+	Messages         int     `json:"messages"`
+	LegacyAllocs     float64 `json:"legacy_allocs_per_op"`
+	PersistentAllocs float64 `json:"persistent_allocs_per_op"`
+	ReductionPct     float64 `json:"reduction_percent"`
+	BudgetPct        float64 `json:"budget_percent"`
+	MeetsBudget      bool    `json:"meets_budget"`
+	PipelineRepeats  int     `json:"pipeline_repeats"`
 }
 
 type clockGateReport struct {
@@ -35,7 +35,7 @@ type clockGateReport struct {
 // TestClockAllocGate enforces the clock-substrate budget: running the
 // BenchmarkPipelineClocks workloads (the Fig. 6 crossing example and
 // Peterson's protocol, each stretched to pipelineRepeats observed
-// executions) through the interned pipeline must allocate at least 20%
+// executions) through the persistent pipeline must allocate at least 20%
 // less per op than the legacy vc.VC pipeline. It regenerates
 // BENCH_clock.json from the measured numbers, so the checked-in
 // artifact always matches the gate that passed.
@@ -53,7 +53,7 @@ func TestClockAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := clockGateReport{
-		Description: "Clock substrate allocation gate (TestClockAllocGate): the observer pipeline of BenchmarkPipelineClocks — Algorithm A tracking, wire framing, strict receive, computation reconstruction — run on the interned clock.Ref substrate (hash-consed tracker, v3 delta wire) vs the legacy vc.VC substrate (cloning tracker, full-clock v2 wire, a fresh vector per layer boundary). allocs/op via testing.AllocsPerRun(10, ...). Lattice exploration is excluded: explorers consume canonical clocks either way and are tracked by BENCH_lattice.json.",
+		Description: "Clock substrate allocation gate (TestClockAllocGate): the observer pipeline of BenchmarkPipelineClocks — Algorithm A tracking, wire framing, strict receive, computation reconstruction — run on the persistent clock.Ref substrate (structure-sharing tracker, v3 delta wire) vs the legacy vc.VC substrate (cloning tracker, full-clock v2 wire, a fresh vector per layer boundary). allocs/op via testing.AllocsPerRun(10, ...). Lattice exploration is excluded: explorers consume clock.Ref values either way and are tracked by BENCH_lattice.json.",
 		Command:     "GOMPAX_CLOCK_GATE=1 go test -count=1 -run TestClockAllocGate -v .",
 		BudgetPct:   clockGateBudget,
 		Environment: map[string]any{
@@ -67,7 +67,7 @@ func TestClockAllocGate(t *testing.T) {
 	for _, w := range works {
 		w := w
 		var buf bytes.Buffer
-		comp, err := pipelineInterned(w, &buf)
+		comp, err := pipelinePersistent(w, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,26 +78,26 @@ func TestClockAllocGate(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		interned := testing.AllocsPerRun(10, func() {
+		persistent := testing.AllocsPerRun(10, func() {
 			var buf bytes.Buffer
-			if _, err := pipelineInterned(w, &buf); err != nil {
+			if _, err := pipelinePersistent(w, &buf); err != nil {
 				t.Fatal(err)
 			}
 		})
-		reduction := (legacy - interned) / legacy * 100
+		reduction := (legacy - persistent) / legacy * 100
 		res := clockGateResult{
-			Workload:        w.name,
-			Messages:        msgs,
-			LegacyAllocs:    legacy,
-			InternedAllocs:  interned,
-			ReductionPct:    round2(reduction),
-			BudgetPct:       clockGateBudget,
-			MeetsBudget:     reduction >= clockGateBudget,
-			PipelineRepeats: pipelineRepeats,
+			Workload:         w.name,
+			Messages:         msgs,
+			LegacyAllocs:     legacy,
+			PersistentAllocs: persistent,
+			ReductionPct:     round2(reduction),
+			BudgetPct:        clockGateBudget,
+			MeetsBudget:      reduction >= clockGateBudget,
+			PipelineRepeats:  pipelineRepeats,
 		}
 		report.Results = append(report.Results, res)
-		t.Logf("%s: legacy %.0f allocs/op, interned %.0f allocs/op, reduction %.1f%% (budget %.0f%%)",
-			w.name, legacy, interned, reduction, clockGateBudget)
+		t.Logf("%s: legacy %.0f allocs/op, persistent %.0f allocs/op, reduction %.1f%% (budget %.0f%%)",
+			w.name, legacy, persistent, reduction, clockGateBudget)
 		if !res.MeetsBudget {
 			failed = true
 		}
@@ -113,7 +113,7 @@ func TestClockAllocGate(t *testing.T) {
 	}
 	t.Log("wrote BENCH_clock.json")
 	if failed {
-		t.Fatalf("clock substrate gate failed: interned pipeline must allocate ≥%.0f%% less than legacy (see BENCH_clock.json)", clockGateBudget)
+		t.Fatalf("clock substrate gate failed: persistent pipeline must allocate ≥%.0f%% less than legacy (see BENCH_clock.json)", clockGateBudget)
 	}
 }
 

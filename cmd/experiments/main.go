@@ -222,7 +222,7 @@ func experimentC4() {
 			m[name] = 0
 			msgs = append(msgs, event.Message{
 				Event: event.Event{Thread: i, Index: 1, Kind: event.Write, Var: name, Value: 1, Relevant: true},
-				Clock: clock.Global().Tick(clock.Ref{}, i),
+				Clock: clock.Tick(clock.Ref{}, i),
 			})
 		}
 		comp, err := lattice.NewComputation(logic.StateFromMap(m), k, msgs)

@@ -1,7 +1,7 @@
-// Package clock provides the immutable, hash-consed clock substrate
-// the whole gompax pipeline runs on: a clock value is a Ref — a
-// pointer-sized handle to an interned, normalized vector-clock node —
-// rather than a mutable []uint64 that every layer defensively clones.
+// Package clock provides the immutable clock values the whole gompax
+// pipeline runs on: a clock value is a Ref — a pointer-sized handle to
+// an immutable, normalized vector-clock node — rather than a mutable
+// []uint64 that every layer defensively clones.
 //
 // The design follows the observation of tree clocks (Mathur et al.,
 // "A Tree Clock Data Structure for Causal Orderings", ASPLOS 2022)
@@ -13,31 +13,30 @@
 //     persistent: Tick and Join build the successor value by copying
 //     the spine (one pointer per chunk) and the chunks that change,
 //     sharing the rest. A child thread's clock after Spawn shares all
-//     chunks with the parent.
-//   - Clock values are interned in a Table: at most one canonical
-//     node per value per table, so within one table pointer identity
-//     is value identity. Leq/Less/Equal/Compare start with a pointer
-//     test and also shortcut over shared chunks. The package-level Tick
-//     and New build a value outside any table, for a consumer that
-//     scopes value identity itself (the lattice explorer, per level)
-//     or never meets a value twice (a wire receiver).
+//     chunks with the parent, and a Join that one side dominates
+//     returns that side's Ref itself.
+//   - Values are not interned: New, Tick and Join build a fresh node
+//     for each value they make, so equal values may be distinct
+//     nodes, and Equal, not ==, compares values. By Theorem 3 no two
+//     relevant messages of one execution carry equal clocks, and a
+//     table that hash-consed Algorithm A's clocks found no repeated
+//     value on the benchmark workloads (DESIGN.md §11).
+//     Leq/Less/Equal/Compare start with a pointer test and shortcut
+//     over shared chunks.
 //   - A value that fits one chunk is one allocation: its node, chunk
 //     and one-entry spine share a block.
 //   - Each node carries a precomputed 64-bit digest, maintained
 //     incrementally (the digest is a XOR of per-component mixes, so a
-//     Tick updates it in O(1)). Consumers use the digest for shard
-//     selection and hash buckets instead of re-hashing vectors; the
-//     digest is a pure function of the value, so differing digests
-//     prove inequality even across tables.
+//     Tick updates it in O(1)). Consumers key hash maps by the digest
+//     instead of re-hashing vectors; the digest is a pure function of
+//     the value, so differing digests prove inequality.
 //
 // Values are normalized: trailing zero components are dropped, and the
 // zero Ref is the all-zeros clock. Normalization makes clocks that
 // compare Equal structurally identical regardless of how many implicit
 // zero components they were built with.
 //
-// Refs are safe for concurrent use (they are immutable); Tables are
-// internally sharded by digest so concurrent interning into a shared
-// table (Global is process-wide) does not serialize on one lock.
+// Refs are immutable, so any number of goroutines may share them.
 // The package's own tests and internal/lattice/latticecheck check it
 // against the mutable reference vectors of internal/testsupport/vc.
 package clock
@@ -45,8 +44,6 @@ package clock
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // chunkShift selects 8 components per chunk: wide enough that the
@@ -78,11 +75,10 @@ type node struct {
 // nchunks returns the spine length of a value of significant length n.
 func nchunks(n int) int { return (n + chunkSize - 1) >> chunkShift }
 
-// Ref is an immutable clock value: a handle to an interned node. The
-// zero Ref is the all-zeros clock. Refs are comparable; within one
-// Table, ref equality (pointer equality) coincides with value
-// equality, so Refs from a single table may be used as map keys.
-// Across tables, == may report false for equal values; use Equal.
+// Ref is an immutable clock value: a handle to its node. The zero Ref
+// is the all-zeros clock. Refs are comparable, but == compares nodes,
+// not values: two Refs built apart may hold equal values, so compare
+// values with Equal and key a map by Digest, confirmed with Equal.
 type Ref struct {
 	p *node
 }
@@ -131,9 +127,8 @@ func (r Ref) Get(i int) uint64 {
 func (r Ref) IsZero() bool { return r.p == nil }
 
 // Digest returns the precomputed 64-bit digest. It is a pure function
-// of the clock value: equal values have equal digests (even across
-// tables), and differing digests prove differing values. The zero
-// clock's digest is 0.
+// of the clock value: equal values have equal digests, and differing
+// digests prove differing values. The zero clock's digest is 0.
 func (r Ref) Digest() uint64 {
 	if r.p == nil {
 		return 0
@@ -162,7 +157,7 @@ func (r Ref) chunkAt(ci int) *chunk {
 
 // Key returns the compact normalized string key: the components joined
 // by commas, trailing zeros dropped. Unlike Digest it is collision-free;
-// unlike the Ref itself it is stable across tables and processes.
+// unlike the Ref itself it is a function of the value alone.
 func (r Ref) Key() string {
 	n := r.Len()
 	var b strings.Builder
@@ -192,10 +187,9 @@ func (r Ref) String() string {
 	return b.String()
 }
 
-// Equal reports whether a and b denote the same clock value. Within
-// one table this is the pointer test; across tables it falls back to
-// a digest comparison (differing digests prove inequality) and then a
-// chunk comparison that skips shared chunks.
+// Equal reports whether a and b denote the same clock value: a pointer
+// test, then a digest, length and sum comparison (differing digests
+// prove inequality), then a chunk comparison that skips shared chunks.
 func Equal(a, b Ref) bool {
 	if a.p == b.p {
 		return true
@@ -206,7 +200,12 @@ func Equal(a, b Ref) bool {
 	if a.p.digest != b.p.digest || a.p.n != b.p.n || a.p.sum != b.p.sum {
 		return false
 	}
-	return nodesEqual(a.p, b.p)
+	for ci, ca := range a.p.chunks {
+		if cb := b.p.chunks[ci]; ca != cb && *ca != *cb {
+			return false
+		}
+	}
+	return true
 }
 
 // Leq reports whether a ≤ b pointwise (missing components are zero).
@@ -320,93 +319,8 @@ func Diff(prev, cur Ref, f func(i int, delta uint64)) bool {
 	return true
 }
 
-// tableShards bounds lock contention when concurrent sessions intern
-// into one table; shard choice is by digest so it needs no
-// coordination.
-const tableShards = 32
-
-type tableShard struct {
-	mu      sync.Mutex
-	buckets map[uint64][]*node // digest -> interned nodes
-	_       [32]byte           // reduce false sharing between shards
-}
-
-// Table is an interning table: at most one canonical node per distinct
-// clock value. Tables are typically scoped to one tracer, so interned
-// values are reclaimed when the tracer is and Refs from a single table
-// can serve directly as map keys. A table never evicts, so the lattice
-// explorer interns no cut clock: a cut lives on one level, and the
-// explorer keys each level by TickDigest and builds new cuts with the
-// table-free Tick. A wire receiver interns nothing either (New). All
-// methods are safe for concurrent use.
-type Table struct {
-	shards [tableShards]tableShard
-	size   atomic.Int64
-}
-
-// NewTable returns an empty interning table.
-func NewTable() *Table {
-	t := &Table{}
-	for i := range t.shards {
-		t.shards[i].buckets = make(map[uint64][]*node)
-	}
-	mTables.Add(1)
-	return t
-}
-
-// Size returns the number of distinct clock values interned so far.
-func (t *Table) Size() int { return int(t.size.Load()) }
-
-// nodesEqual compares two normalized nodes by value, shared chunks
-// shortcut by pointer. Digest equality is assumed (bucket invariant).
-func nodesEqual(x, y *node) bool {
-	if x.n != y.n || x.sum != y.sum {
-		return false
-	}
-	for ci, cx := range x.chunks {
-		if cy := y.chunks[ci]; cx != cy && *cx != *cy {
-			return false
-		}
-	}
-	return true
-}
-
-// intern returns the canonical Ref for the candidate node, inserting
-// it if the value is new. The candidate must be normalized (n >= 1,
-// last component nonzero, zeros beyond n in the last chunk).
-func (t *Table) intern(cand *node) Ref {
-	s := &t.shards[cand.digest%tableShards]
-	s.mu.Lock()
-	for _, ex := range s.buckets[cand.digest] {
-		if nodesEqual(ex, cand) {
-			s.mu.Unlock()
-			mHits.Inc()
-			return Ref{ex}
-		}
-	}
-	s.buckets[cand.digest] = append(s.buckets[cand.digest], cand)
-	s.mu.Unlock()
-	t.size.Add(1)
-	mInterned.Inc()
-	return Ref{cand}
-}
-
-// Intern returns the canonical Ref for the given components (trailing
-// zeros are normalized away; the slice is copied, not retained).
-func (t *Table) Intern(comps []uint64) Ref {
-	n := normLen(comps)
-	if n == 0 {
-		return Ref{}
-	}
-	return t.intern(buildNode(comps[:n]))
-}
-
-// New returns the clock with the given components, like Intern but
-// interned nowhere (trailing zeros are normalized away; the slice is
-// copied, not retained). A wire receiver builds every decoded clock
-// this way: Theorem 3 makes the clocks of one session's messages
-// pairwise distinct, so a session table would never hit. Compare the
-// result with Equal, not ==.
+// New returns the clock with the given components (trailing zeros are
+// normalized away; the slice is copied, not retained).
 func New(comps []uint64) Ref {
 	n := normLen(comps)
 	if n == 0 {
@@ -468,27 +382,20 @@ func buildNode(comps []uint64) *node {
 	return nd
 }
 
-// Tick returns the clock with component i incremented by one: step 1
-// of Algorithm A, and lattice.Computation.Advance. One spine and one
-// chunk copy, an incremental digest update, and an intern lookup; a
-// clock that fits one chunk is built in one allocation.
-func (t *Table) Tick(r Ref, i int) Ref {
-	return t.intern(tickNode(r, i))
-}
-
-// Tick returns r with component i incremented by one, like Table.Tick,
-// but interned nowhere: the node shares every chunk but one with r.
-// The result belongs to no table, so compare it with Equal, not ==.
-// The lattice explorer builds each new cut of a level this way;
-// TickDigest and IsTick find an existing one first.
+// Tick returns r with component i incremented by one: step 1 of
+// Algorithm A, lattice.Computation.Advance, and each new cut of the
+// lattice explorer's level (TickDigest and IsTick find an existing one
+// first). The node shares every chunk but one with r; one spine and
+// one chunk copy and an incremental digest update, and a clock that
+// fits one chunk is built in one allocation.
 func Tick(r Ref, i int) Ref {
 	return Ref{tickNode(r, i)}
 }
 
-// tickNode builds, without interning, the node for r with component i
-// incremented: the spine is copied, the chunk holding i is copied and
-// raised, and every other chunk is shared with r. A value that fits
-// one chunk is one block. A wider one takes the node, its spine and
+// tickNode builds the node for r with component i incremented: the
+// spine is copied, the chunk holding i is copied and raised, and every
+// other chunk is shared with r. A value that fits one chunk is one
+// block. A wider one takes the node, its spine and
 // the raised chunk as three objects: were the chunk allocated with the
 // node, a later value sharing that chunk would keep the node's spine
 // alive, and through it the chunks of older values, without bound.
@@ -551,25 +458,25 @@ func IsTick(c, r Ref, i int) bool {
 	return true
 }
 
-// Join returns the canonical Ref for the pointwise maximum max{a, b}.
-// When one side dominates, the dominating Ref itself is returned with
-// no allocation — this makes Algorithm A's write step (V_w = V_a =
-// V_i) and Spawn pure structure sharing. In the general case the
-// result shares every chunk it can with a or b, and the digest is
-// updated incrementally from a's.
-func (t *Table) Join(a, b Ref) Ref {
+// Join returns the pointwise maximum max{a, b}. When one side
+// dominates, the dominating Ref itself is returned with no allocation
+// — this makes Algorithm A's write step (V_w = V_a = V_i) and Spawn
+// pure structure sharing. In the general case the result shares every
+// chunk it can with a or b, and the digest is updated incrementally
+// from a's.
+func Join(a, b Ref) Ref {
 	if a.p == b.p || b.p == nil || Leq(b, a) {
 		return a
 	}
 	if a.p == nil || Leq(a, b) {
 		return b
 	}
-	return t.intern(joinNode(a, b))
+	return Ref{joinNode(a, b)}
 }
 
-// joinNode builds, without interning, the pointwise maximum of a and b
-// for the general case: neither side zero, neither dominating. A chunk
-// equal to one side's is shared; only chunks mixing both are fresh.
+// joinNode builds the pointwise maximum of a and b for the general
+// case: neither side zero, neither dominating. A chunk equal to one
+// side's is shared; only chunks mixing both are fresh.
 func joinNode(a, b Ref) *node {
 	n := max(a.Len(), b.Len())
 	chunks := make([]*chunk, nchunks(n))
@@ -609,12 +516,37 @@ func joinNode(a, b Ref) *node {
 	return &node{chunks: chunks, n: n, digest: digest, sum: sum}
 }
 
-// global is the process-wide convenience table used by tests, tools
-// and trace loading; pipeline components scope their own tables.
-var global = NewTable()
+// Of returns the clock with the given components: New, variadic.
+func Of(comps ...uint64) Ref { return New(comps) }
 
-// Global returns the process-wide interning table.
-func Global() *Table { return global }
+// Table counts the clock values a producer builds: its Tick and Join
+// are the package-level ones, and Size is the number of new nodes they
+// made (a Join that returns one of its arguments makes none). An
+// mvc.Tracker builds its clocks through one, and the benchmark
+// module's clock layer (perfbench/layers.go) reads its count through
+// Tracker.Table; nothing else does. A Table is not safe for concurrent
+// use.
+type Table struct {
+	built int
+}
 
-// Of interns the given components into the global table.
-func Of(comps ...uint64) Ref { return global.Intern(comps) }
+// NewTable returns a Table that has counted nothing.
+func NewTable() *Table { return &Table{} }
+
+// Size returns the number of values built through the table.
+func (t *Table) Size() int { return t.built }
+
+// Tick is the package-level Tick, counted.
+func (t *Table) Tick(r Ref, i int) Ref {
+	t.built++
+	return Tick(r, i)
+}
+
+// Join is the package-level Join, counted when it builds a value.
+func (t *Table) Join(a, b Ref) Ref {
+	j := Join(a, b)
+	if j != a && j != b {
+		t.built++
+	}
+	return j
+}

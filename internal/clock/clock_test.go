@@ -22,23 +22,22 @@ func randVC(rng *rand.Rand) vc.VC {
 	return v
 }
 
-func TestInternNormalizes(t *testing.T) {
+func TestNewNormalizes(t *testing.T) {
 	t.Parallel()
-	tb := NewTable()
-	a := tb.Intern([]uint64{1, 2, 0, 0})
-	b := tb.Intern([]uint64{1, 2})
-	if a != b {
+	a := New([]uint64{1, 2, 0, 0})
+	b := New([]uint64{1, 2})
+	if !Equal(a, b) || a.Digest() != b.Digest() || a.Key() != b.Key() {
 		t.Fatalf("trailing zeros not normalized: %v vs %v", a, b)
 	}
 	if a.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", a.Len())
 	}
-	z := tb.Intern([]uint64{0, 0, 0})
+	z := New([]uint64{0, 0, 0})
 	if !z.IsZero() || z != (Ref{}) {
-		t.Fatalf("all-zeros clock should intern to the zero Ref")
+		t.Fatalf("all-zeros clock should build the zero Ref")
 	}
-	if got := tb.Intern(nil); !got.IsZero() {
-		t.Fatalf("nil interns to %v, want zero Ref", got)
+	if got := New(nil); !got.IsZero() {
+		t.Fatalf("nil builds %v, want zero Ref", got)
 	}
 }
 
@@ -61,10 +60,9 @@ func TestZeroRef(t *testing.T) {
 func TestDifferentialOps(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
-	tb := NewTable()
 	for iter := 0; iter < 5000; iter++ {
 		va, vb := randVC(rng), randVC(rng)
-		a, b := tb.Intern(va), tb.Intern(vb)
+		a, b := New(va), New(vb)
 
 		if got, want := a.Key(), va.Key(); got != want {
 			t.Fatalf("Key: got %q want %q", got, want)
@@ -95,26 +93,25 @@ func TestDifferentialOps(t *testing.T) {
 			}
 		}
 
-		// Join against the reference, plus canonicality: equal values
-		// must intern to the identical Ref.
-		j := tb.Join(a, b)
+		// Join against the reference: the same value, digest included.
+		j := Join(a, b)
 		vj := vc.Join(va, vb)
-		if jj := tb.Intern(vj); jj != j {
-			t.Fatalf("Join(%v,%v) = %v not canonical vs %v", va, vb, j, vj)
+		if jj := New(vj); !Equal(jj, j) || jj.Digest() != j.Digest() || j.Key() != vj.Key() {
+			t.Fatalf("Join(%v,%v) = %v, want %v", va, vb, j, vj)
 		}
 
 		// Tick against Inc on a clone.
 		i := rng.Intn(21)
-		tk := tb.Tick(a, i)
+		tk := Tick(a, i)
 		vt := va.Clone()
 		vt.Inc(i)
-		if tt := tb.Intern(vt); tt != tk {
-			t.Fatalf("Tick(%v,%d) = %v not canonical vs %v", va, i, tk, vt)
+		if tt := New(vt); !Equal(tt, tk) || tt.Digest() != tk.Digest() || tk.Key() != vt.Key() {
+			t.Fatalf("Tick(%v,%d) = %v, want %v", va, i, tk, vt)
 		}
 
-		// Digest is a pure function of the value: re-interning the
-		// materialized VC in a fresh table reproduces it.
-		if a.Digest() != NewTable().Intern(vc.From(a)).Digest() {
+		// Digest is a pure function of the value: rebuilding the
+		// materialized VC reproduces it.
+		if a.Digest() != New(vc.From(a)).Digest() {
 			t.Fatalf("digest of %v not reproducible", va)
 		}
 	}
@@ -122,35 +119,36 @@ func TestDifferentialOps(t *testing.T) {
 
 func TestJoinSharesDominatingSide(t *testing.T) {
 	t.Parallel()
-	tb := NewTable()
-	big := tb.Intern([]uint64{3, 4, 5})
-	small := tb.Intern([]uint64{1, 2, 5})
-	if got := tb.Join(big, small); got != big {
+	big := Of(3, 4, 5)
+	small := Of(1, 2, 5)
+	if got := Join(big, small); got != big {
 		t.Fatalf("Join with dominated right side should return left Ref")
 	}
-	if got := tb.Join(small, big); got != big {
+	if got := Join(small, big); got != big {
 		t.Fatalf("Join with dominated left side should return right Ref")
 	}
-	if got := tb.Join(big, Ref{}); got != big {
+	if got := Join(big, Ref{}); got != big {
 		t.Fatalf("Join with zero right side should return left Ref")
 	}
-	if got := tb.Join(Ref{}, big); got != big {
+	if got := Join(Ref{}, big); got != big {
 		t.Fatalf("Join with zero left side should return right Ref")
 	}
-	if got := tb.Join(big, big); got != big {
+	if got := Join(big, Of(3, 4, 5)); got != big {
+		t.Fatalf("Join with an equal value should return the left Ref")
+	}
+	if got := Join(big, big); got != big {
 		t.Fatalf("Join with itself should return the same Ref")
 	}
 }
 
 func TestTickSharesChunks(t *testing.T) {
 	t.Parallel()
-	tb := NewTable()
 	comps := make([]uint64, 20)
 	for i := range comps {
 		comps[i] = uint64(i + 1)
 	}
-	a := tb.Intern(comps)
-	b := tb.Tick(a, 0)
+	a := New(comps)
+	b := Tick(a, 0)
 	if len(a.p.chunks) != 3 || len(b.p.chunks) != 3 {
 		t.Fatalf("expected 3 chunks, got %d and %d", len(a.p.chunks), len(b.p.chunks))
 	}
@@ -165,10 +163,9 @@ func TestTickSharesChunks(t *testing.T) {
 func TestCompareTotalOrder(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
-	tb := NewTable()
 	for iter := 0; iter < 2000; iter++ {
 		va, vb := randVC(rng), randVC(rng)
-		a, b := tb.Intern(va), tb.Intern(vb)
+		a, b := New(va), New(vb)
 		ab, ba := Compare(a, b), Compare(b, a)
 		if ab != -ba {
 			t.Fatalf("Compare not antisymmetric on %v, %v: %d vs %d", va, vb, ab, ba)
@@ -199,9 +196,8 @@ func TestCompareTotalOrder(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	t.Parallel()
-	tb := NewTable()
-	prev := tb.Intern([]uint64{1, 2, 0, 4})
-	cur := tb.Intern([]uint64{1, 3, 0, 4, 0, 2})
+	prev := Of(1, 2, 0, 4)
+	cur := Of(1, 3, 0, 4, 0, 2)
 	var got []string
 	ok := Diff(prev, cur, func(i int, d uint64) { got = append(got, fmt.Sprintf("%d+%d", i, d)) })
 	if !ok {
@@ -221,14 +217,13 @@ func TestDiff(t *testing.T) {
 func TestDiffReconstructs(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
-	tb := NewTable()
 	for iter := 0; iter < 2000; iter++ {
 		vp := randVC(rng)
 		vcur := vp.Clone()
 		for j := 0; j < rng.Intn(4); j++ {
 			vcur.Inc(rng.Intn(20))
 		}
-		prev, cur := tb.Intern(vp), tb.Intern(vcur)
+		prev, cur := New(vp), New(vcur)
 		rebuilt := vc.From(prev)
 		ok := Diff(prev, cur, func(i int, d uint64) {
 			rebuilt.Set(i, rebuilt.Get(i)+d)
@@ -236,66 +231,33 @@ func TestDiffReconstructs(t *testing.T) {
 		if !ok {
 			t.Fatalf("Diff failed on monotone pair %v -> %v", vp, vcur)
 		}
-		if tb.Intern(rebuilt) != cur {
+		if !Equal(New(rebuilt), cur) {
 			t.Fatalf("Diff deltas do not reconstruct %v from %v", vcur, vp)
 		}
 	}
 }
 
-func TestConcurrentInterning(t *testing.T) {
-	t.Parallel()
-	tb := NewTable()
-	const workers = 8
-	refs := make([]Ref, workers)
-	done := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			rng := rand.New(rand.NewSource(int64(w)))
-			r := Ref{}
-			for i := 0; i < 500; i++ {
-				r = tb.Tick(r, rng.Intn(4))
-				r = tb.Join(r, tb.Intern([]uint64{uint64(i % 7), 1}))
-			}
-			refs[w] = tb.Intern([]uint64{9, 9, 9})
-			done <- w
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for w := 1; w < workers; w++ {
-		if refs[w] != refs[0] {
-			t.Fatal("same value interned to different nodes under concurrency")
-		}
-	}
-}
-
+// TestTableSizeAndHits: a Table counts each value its Tick and Join
+// build, and has no hits: building a value it has built before counts
+// again. A Join that returns one of its arguments builds nothing.
 func TestTableSizeAndHits(t *testing.T) {
 	t.Parallel()
 	tb := NewTable()
-	tb.Intern([]uint64{1})
-	tb.Intern([]uint64{1, 2})
-	tb.Intern([]uint64{1, 2, 0}) // hit: same value as previous
-	tb.Intern([]uint64{1})       // hit
-	if got := tb.Size(); got != 2 {
-		t.Fatalf("Size = %d, want 2", got)
+	a := tb.Tick(Ref{}, 0)
+	b := tb.Tick(Ref{}, 1)
+	j := tb.Join(a, b)
+	if !Equal(j, Of(1, 1)) {
+		t.Fatalf("Join = %v, want (1,1)", j)
 	}
-}
-
-// TestNewMatchesIntern: New builds the value Intern builds, normalized
-// alike, with the same digest and sum, but interned nowhere.
-func TestNewMatchesIntern(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 300; i++ {
-		v := randVC(rng)
-		got, want := New(v), Global().Intern(v)
-		if !Equal(got, want) || got.Key() != want.Key() || got.Digest() != want.Digest() || got.Sum() != want.Sum() {
-			t.Fatalf("New(%v) = %s (digest %x, sum %d), Intern = %s (digest %x, sum %d)",
-				v, got, got.Digest(), got.Sum(), want, want.Digest(), want.Sum())
-		}
-		if !want.IsZero() && got == want {
-			t.Fatalf("New(%v) returned the table's node", v)
-		}
+	if got := tb.Join(j, a); got != j {
+		t.Fatalf("Join with a dominated side = %v, want the dominating Ref", got)
+	}
+	tb.Join(a, Ref{})
+	if again := tb.Tick(Ref{}, 0); again == a || !Equal(again, a) {
+		t.Fatalf("a second Tick of the same value = %v (same node %v), want a new node equal to %v", again, again == a, a)
+	}
+	if got := tb.Size(); got != 4 {
+		t.Fatalf("Size = %d, want 4", got)
 	}
 }
 
@@ -303,17 +265,25 @@ var tickSink Ref
 
 // TestTickAllocations: a tick of a clock that fits one chunk is one
 // allocation; a wider clock's takes the node, its spine and the
-// raised chunk.
+// raised chunk. A Join that neither side dominates takes the node,
+// its spine and each chunk that mixes both sides.
 func TestTickAllocations(t *testing.T) {
 	narrow := New([]uint64{1, 2, 3})
 	wide := New([]uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	other := New([]uint64{3, 1})
 	for _, tc := range []struct {
-		r      Ref
-		i      int
+		name   string
+		op     func() Ref
 		allocs float64
-	}{{narrow, 1, 1}, {narrow, 7, 1}, {wide, 3, 3}, {wide, 11, 3}} {
-		if got := testing.AllocsPerRun(100, func() { tickSink = Tick(tc.r, tc.i) }); got != tc.allocs {
-			t.Errorf("Tick(%s, %d) costs %v allocations, want %v", tc.r, tc.i, got, tc.allocs)
+	}{
+		{"Tick(narrow, 1)", func() Ref { return Tick(narrow, 1) }, 1},
+		{"Tick(narrow, 7)", func() Ref { return Tick(narrow, 7) }, 1},
+		{"Tick(wide, 3)", func() Ref { return Tick(wide, 3) }, 3},
+		{"Tick(wide, 11)", func() Ref { return Tick(wide, 11) }, 3},
+		{"Join(narrow, other)", func() Ref { return Join(narrow, other) }, 3},
+	} {
+		if got := testing.AllocsPerRun(100, func() { tickSink = tc.op() }); got != tc.allocs {
+			t.Errorf("%s costs %v allocations, want %v", tc.name, got, tc.allocs)
 		}
 	}
 }

@@ -83,11 +83,11 @@ func checkValue(t *testing.T, what string, r Ref, v vc.VC) {
 // TestReprDigestContract is the digest-contract property on wide
 // clocks: over 10k random vector pairs of up to 1,300 components,
 // trailing-zero edges included, Digest/Sum/Len/Key match the vc.VC
-// reference and every predicate agrees with it — on refs from one
-// table (the pointer fast paths) and from two (the value paths).
+// reference and every predicate agrees with it — against a itself
+// when the values are equal (the pointer fast paths) and against a
+// separately built b (the value paths).
 func TestReprDigestContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	one, two := NewTable(), NewTable()
 	pairs := 10000
 	if testing.Short() {
 		pairs = 1000
@@ -100,13 +100,17 @@ func TestReprDigestContract(t *testing.T) {
 				bv[rng.Intn(len(bv))] += uint64(rng.Intn(3))
 			}
 		}
-		a, b, b2 := one.Intern(av), one.Intern(bv), two.Intern(bv)
+		a, b := New(av), New(bv)
 		checkValue(t, fmt.Sprintf("pair %d a", p), a, av)
-		checkValue(t, fmt.Sprintf("pair %d b", p), b2, bv)
+		checkValue(t, fmt.Sprintf("pair %d b", p), b, bv)
+		shared := b
+		if vc.Equal(av, bv) {
+			shared = a
+		}
 		for _, d := range []struct {
 			name string
 			b    Ref
-		}{{"one table", b}, {"two tables", b2}} {
+		}{{"shared", shared}, {"built apart", b}} {
 			if got, want := Equal(a, d.b), vc.Equal(av, bv); got != want {
 				t.Fatalf("pair %d (%s): Equal=%v want %v", p, d.name, got, want)
 			}
@@ -129,12 +133,11 @@ func TestReprDigestContract(t *testing.T) {
 	}
 }
 
-// TestReprOpEquivalence replays one random Intern/Tick/Join sequence
-// on wide clocks against a vc.VC shadow: every intermediate value must
-// equal the shadow's and be canonical in its table.
+// TestReprOpEquivalence replays one random New/Tick/Join sequence on
+// wide clocks against a vc.VC shadow: every intermediate value must
+// equal the shadow's, and the shadow rebuilt with New.
 func TestReprOpEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tb := NewTable()
 	refs, shadows := []Ref{{}}, []vc.VC{nil} // start from the zero clock
 	steps := 4000
 	if testing.Short() {
@@ -146,20 +149,20 @@ func TestReprOpEquivalence(t *testing.T) {
 		switch k := len(refs); rng.Intn(4) {
 		case 0:
 			v = randVec(rng)
-			r = tb.Intern(v)
+			r = New(v)
 		case 1, 2:
 			j, i := rng.Intn(k), rng.Intn(600)
-			r = tb.Tick(refs[j], i)
+			r = Tick(refs[j], i)
 			v = shadows[j].Clone()
 			v.Inc(i)
 		default:
 			j, l := rng.Intn(k), rng.Intn(k)
-			r = tb.Join(refs[j], refs[l])
+			r = Join(refs[j], refs[l])
 			v = vc.Join(shadows[j], shadows[l])
 		}
 		checkValue(t, fmt.Sprintf("step %d", s), r, v)
-		if tb.Intern(v) != r {
-			t.Fatalf("step %d: %s is not the table's canonical node", s, r)
+		if !Equal(New(v), r) {
+			t.Fatalf("step %d: %s differs from its shadow rebuilt with New", s, r)
 		}
 		refs, shadows = append(refs, r), append(shadows, v)
 	}
@@ -170,7 +173,6 @@ func TestReprOpEquivalence(t *testing.T) {
 // exceeds prev, and report false on non-monotone pairs.
 func TestReprDiffParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	tb := NewTable()
 	for p := 0; p < 3000; p++ {
 		pv := vc.VC(randVec(rng))
 		cv := pv.Clone()
@@ -191,7 +193,7 @@ func TestReprDiffParity(t *testing.T) {
 			}
 		}
 		var got []byte
-		ok := Diff(tb.Intern(pv), tb.Intern(cv), func(i int, d uint64) {
+		ok := Diff(New(pv), New(cv), func(i int, d uint64) {
 			got = fmt.Appendf(got, "%d+%d;", i, d)
 		})
 		if wantOK := vc.LEQ(pv, cv); ok != wantOK {
@@ -204,10 +206,10 @@ func TestReprDiffParity(t *testing.T) {
 }
 
 // TestTickProbe: the lattice explorer's probe-then-build trio agrees
-// with Table.Tick on random wide refs. TickDigest is the interned
-// successor's digest; the table-free Tick builds an Equal value and
-// interns nothing; IsTick accepts the successor from any table and
-// rejects near misses, including a forged digest collision. The
+// with the vc.VC reference on random wide refs. TickDigest is the
+// successor's digest; Tick builds a value Equal to the successor
+// built with New; IsTick accepts the successor however it was built
+// and rejects near misses, including a forged digest collision. The
 // component raised is an existing one, a zero one below Len (old = 0
 // contributes nothing to the digest), or one at or beyond Len, which
 // grows Len and may cross a chunk boundary.
@@ -217,12 +219,11 @@ func TestTickProbe(t *testing.T) {
 	if testing.Short() {
 		iters = 800
 	}
-	tab, other := NewTable(), NewTable()
 	kinds := [3]int{}
 	collisions := 0
 	for it := 0; it < iters; it++ {
 		v := randVec(rng)
-		r := tab.Intern(v)
+		r := New(v)
 		kind := rng.Intn(3)
 		i := r.Len() + rng.Intn(80)
 		switch {
@@ -248,19 +249,17 @@ func TestTickProbe(t *testing.T) {
 			kinds[0]++
 		}
 
-		want := tab.Tick(r, i)
+		wv := vc.From(r)
+		wv.Inc(i)
+		want := New(wv)
 		if got := TickDigest(r, i); got != want.Digest() {
-			t.Fatalf("it %d: TickDigest(r, %d) = %x, Tick digest %x", it, i, got, want.Digest())
+			t.Fatalf("it %d: TickDigest(r, %d) = %x, successor digest %x", it, i, got, want.Digest())
 		}
-		size := tab.Size()
 		c := Tick(r, i)
-		if tab.Size() != size {
-			t.Fatalf("it %d: the table-free Tick interned into the table", it)
+		if !Equal(c, want) || c.Len() != want.Len() || c.Sum() != want.Sum() || c.Digest() != want.Digest() {
+			t.Fatalf("it %d: Tick(r, %d) = %v, want %v", it, i, c, want)
 		}
-		if !Equal(c, want) || c.Len() != want.Len() || c.Sum() != want.Sum() || c.p == want.p {
-			t.Fatalf("it %d: Tick(r, %d) = %v, want an uninterned %v", it, i, c, want)
-		}
-		for _, got := range []Ref{c, want, other.Intern(vc.From(want))} {
+		for _, got := range []Ref{c, want} {
 			if !IsTick(got, r, i) {
 				t.Fatalf("it %d: IsTick rejects the successor %v of %v at %d", it, got, r, i)
 			}
@@ -270,8 +269,8 @@ func TestTickProbe(t *testing.T) {
 		if j == i {
 			j++
 		}
-		twice := tab.Tick(want, i)
-		negatives := []Ref{{}, r, twice, tab.Tick(r, j), other.Intern(vc.From(twice))}
+		twice := Tick(want, i)
+		negatives := []Ref{{}, r, twice, Tick(r, j), New(vc.From(twice))}
 		// The same length and sum, one unit moved from another
 		// component to i.
 		if w := vc.From(want); len(w) > 1 {
@@ -279,7 +278,7 @@ func TestTickProbe(t *testing.T) {
 				if k != i && w[k] > 0 {
 					w[k]--
 					w[i]++
-					negatives = append(negatives, other.Intern(w))
+					negatives = append(negatives, New(w))
 					break
 				}
 			}

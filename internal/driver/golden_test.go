@@ -96,7 +96,7 @@ func TestGoldenTraceSurvivesWireRoundTrip(t *testing.T) {
 		printed = append(printed, m.String())
 	}
 	joined := strings.Join(printed, "\n")
-	// Interned clocks render normalized: trailing zero components are
+	// Clocks render normalized: trailing zero components are
 	// dropped, so T1's clocks print as (1) and (2), not (1,0) and (2,0).
 	want := strings.Join([]string{
 		"<x=0, T1, (1)>",

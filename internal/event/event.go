@@ -172,9 +172,8 @@ func (e Event) String() string {
 
 // Message is the observer message <e, i, V> of Algorithm A step 4: a
 // relevant event, its generating thread, and the thread's MVC at the
-// moment the event was processed. The clock is an immutable interned
-// Ref, so emitting a message shares the tracker's clock instead of
-// cloning it.
+// moment the event was processed. The clock is an immutable Ref, so
+// emitting a message shares the tracker's clock instead of cloning it.
 type Message struct {
 	Event Event
 	Clock clock.Ref

@@ -12,7 +12,7 @@
 //     memory-bounded traversal (at most two adjacent levels live at a
 //     time). The predict package runs the same traversal over the
 //     per-thread messages (Message), with cut identity scoped to each
-//     level instead of the computation's clock Table.
+//     level.
 //   - Build materializes the full lattice with edges, for
 //     visualization, run enumeration and cross-checking against
 //     brute-force linear-extension counting.
@@ -44,10 +44,6 @@ type Computation struct {
 	initial   logic.State
 	perThread [][]event.Message
 	total     int
-	// table interns the cut-count clocks Advance builds, so those Refs
-	// are canonical: equal cuts carry the identical Ref, and Build keys
-	// its node index on it directly.
-	table *clock.Table
 }
 
 // NewComputation indexes messages by thread and per-thread position.
@@ -87,12 +83,8 @@ func NewComputation(initial logic.State, threads int, msgs []event.Message) (*Co
 		total += len(list)
 	}
 	mComputations.Inc()
-	return &Computation{initial: initial, perThread: per, total: total, table: clock.NewTable()}, nil
+	return &Computation{initial: initial, perThread: per, total: total}, nil
 }
-
-// Table returns the computation's clock interning table. Cut counts
-// produced by Advance are canonical within it.
-func (c *Computation) Table() *clock.Table { return c.table }
 
 // Initial returns the initial global state.
 func (c *Computation) Initial() logic.State { return c.initial }
@@ -113,9 +105,9 @@ func (c *Computation) Message(thread, k int) event.Message {
 
 // Cut is a consistent global state of the computation: counts[i]
 // relevant events of thread i have been applied to the initial state.
-// The counts of a cut from Root or Advance are interned in the
-// computation's table: within one computation, equal cuts carry the
-// identical Ref. A cut from NewCut carries the Ref it was given.
+// Advance builds a fresh counts value for every successor, so equal
+// cuts reached along different paths need not share a Ref: compare
+// cuts by value (clock.Equal on Clock, or Key).
 type Cut struct {
 	counts clock.Ref
 	state  logic.State
@@ -127,7 +119,7 @@ func (c *Computation) Root() Cut {
 	return Cut{state: c.initial}
 }
 
-// Clock returns the cut's counts as the interned Ref itself.
+// Clock returns the cut's counts as the Ref itself.
 func (cut Cut) Clock() clock.Ref { return cut.counts }
 
 // State returns the global state of the cut. It is well defined
@@ -143,12 +135,6 @@ func (cut Cut) Level() int { return int(cut.counts.Sum()) }
 // Key identifies the cut within its computation (trailing zeros
 // normalized away).
 func (cut Cut) Key() string { return cut.counts.Key() }
-
-// Hash returns the precomputed digest of the cut's clock, consistent
-// with Key (equal cuts hash identically). The parallel explorer uses
-// it to pick the shard a cut is interned in; unlike the seed's
-// re-hash-per-lookup it is a field read.
-func (cut Cut) Hash() uint64 { return cut.counts.Digest() }
 
 // String renders the cut like the paper's S_{c1,c2,...} labels, with
 // trailing zero counts normalized away (the root is "S").
@@ -204,7 +190,7 @@ func (c *Computation) Advance(cut Cut, thread int) Succ {
 	}
 	next := int(cut.counts.Get(thread)) + 1
 	m := c.perThread[thread][next-1]
-	counts := c.table.Tick(cut.counts, thread)
+	counts := clock.Tick(cut.counts, thread)
 	state := cut.state
 	if !m.Event.Kind.IsChannel() {
 		// Channel events advance the cut (they tick the thread's clock,
@@ -282,9 +268,10 @@ func Build(c *Computation, maxNodes int) (*Lattice, error) {
 	l := &Lattice{comp: c}
 	root := c.Root()
 	l.nodes = append(l.nodes, Node{ID: 0, Cut: root})
-	// Cut counts are interned in the computation's table, so the Ref
-	// itself is the dedup key — no string materialization per cut.
-	index := map[clock.Ref]int{root.Clock(): 0}
+	// Advance builds every successor's counts afresh, so the index
+	// keys a cut by its clock's digest and confirms a hit with
+	// clock.Equal — no string materialization per cut.
+	index := map[uint64][]int{root.Clock().Digest(): {0}}
 	level := []int{0}
 	l.levels = append(l.levels, level)
 	for len(level) > 0 {
@@ -292,15 +279,15 @@ func Build(c *Computation, maxNodes int) (*Lattice, error) {
 		for _, id := range level {
 			cut := l.nodes[id].Cut
 			for _, s := range c.Successors(cut) {
-				key := s.Cut.Clock()
-				to, ok := index[key]
-				if !ok {
+				d := s.Cut.Clock().Digest()
+				to := l.find(index[d], s.Cut.Clock())
+				if to < 0 {
 					to = len(l.nodes)
 					if maxNodes > 0 && to >= maxNodes {
 						return nil, ErrTooLarge{Max: maxNodes}
 					}
 					l.nodes = append(l.nodes, Node{ID: to, Cut: s.Cut})
-					index[key] = to
+					index[d] = append(index[d], to)
 					next = append(next, to)
 				}
 				l.nodes[id].Out = append(l.nodes[id].Out, Edge{To: to, Thread: s.Thread, Msg: s.Msg})
@@ -313,6 +300,17 @@ func Build(c *Computation, maxNodes int) (*Lattice, error) {
 	}
 	mBuiltNodes.Add(uint64(len(l.nodes)))
 	return l, nil
+}
+
+// find returns the node among ids whose cut has the given counts, or
+// -1.
+func (l *Lattice) find(ids []int, counts clock.Ref) int {
+	for _, id := range ids {
+		if clock.Equal(l.nodes[id].Cut.counts, counts) {
+			return id
+		}
+	}
+	return -1
 }
 
 // NumNodes returns the number of distinct consistent cuts.
@@ -452,9 +450,7 @@ func (l *Lattice) StateTuples(varOrder []string) []string {
 // NewCut assembles a Cut from explicit counts and state. It is
 // intended for incremental analyzers (predict.Online) that maintain
 // cut frontiers themselves; counts and state must be mutually
-// consistent for the computation the cut will be used with. The
-// predict analyzers intern their cut clocks nowhere, so compare the
-// counts of such a cut by value (clock.Equal, Key), not by Ref.
+// consistent for the computation the cut will be used with.
 func NewCut(counts clock.Ref, state logic.State) Cut {
 	return Cut{counts: counts, state: state}
 }

@@ -58,23 +58,23 @@ func analyzeAllModes(t *testing.T, c Case, msgs []event.Message, cex bool) [2]st
 // computations (50 under -short; GOMPAX_LAB_CASES overrides both, so
 // `make gate` can deepen the run without editing this file), each
 // executed through both Algorithm A
-// implementations — the production mvc.Tracker on interned clock.Ref
+// implementations — the production mvc.Tracker on immutable clock.Ref
 // values and the naive LegacyTracker on mutable vc.VC values. For
 // every case it asserts
 //
 //  1. message parity: both trackers emit the same messages with equal
-//     clocks (vc.Equal absorbs the interned normalization that drops
+//     clocks (vc.Equal absorbs clock.Ref's normalization, which drops
 //     trailing zero components);
 //  2. Theorem 3 equivalence on both substrates: for every ordered pair
 //     of emitted messages, e ⊲ e' iff V[i] ≤ V'[i] iff V < V',
 //     checked against the ground-truth causality ≺ computed
 //     independently from its definition — with clock.Precedes,
-//     clock.Less and clock.Leq on the interned side and vc.Precedes
+//     clock.Less and clock.Leq on the clock.Ref side and vc.Precedes
 //     and vc.Less on the legacy side;
 //  3. explorer parity: both explorer modes produce byte-identical
 //     verdicts, counterexamples and statistics whether fed the
-//     interned tracker's messages or messages re-interned from the
-//     legacy tracker's vectors.
+//     production tracker's messages or messages rebuilt with clock.New
+//     from the legacy tracker's vectors.
 func TestClockSubstrateParity(t *testing.T) {
 	t.Parallel()
 	cases := lab.Cases(500, 50, testing.Short())
@@ -90,13 +90,13 @@ func TestClockSubstrateParity(t *testing.T) {
 		for _, e := range c.Events {
 			got := leg.Process(event.Event{Thread: e.Thread, Kind: e.Kind, Var: e.Var, Value: e.Value})
 			if got != e {
-				t.Fatalf("iter %d: legacy tracker completed event %+v, interned %+v", iter, got, e)
+				t.Fatalf("iter %d: legacy tracker completed event %+v, production %+v", iter, got, e)
 			}
 		}
 
 		// 1. Message parity.
 		if len(leg.Msgs) != len(c.Msgs) {
-			t.Fatalf("iter %d: legacy emitted %d messages, interned %d", iter, len(leg.Msgs), len(c.Msgs))
+			t.Fatalf("iter %d: legacy emitted %d messages, production %d", iter, len(leg.Msgs), len(c.Msgs))
 		}
 		for k, lm := range leg.Msgs {
 			im := c.Msgs[k]
@@ -152,23 +152,22 @@ func TestClockSubstrateParity(t *testing.T) {
 		if _, err := lattice.Build(c.Comp, maxBuildNodes); err != nil {
 			continue
 		}
-		table := clock.NewTable()
 		relegacy := make([]event.Message, len(leg.Msgs))
 		for k, lm := range leg.Msgs {
-			relegacy[k] = event.Message{Event: lm.Event, Clock: table.Intern(lm.Clock)}
+			relegacy[k] = event.Message{Event: lm.Event, Clock: clock.New(lm.Clock)}
 		}
 		rng.Intn(7) // unused: drawn so each seed keeps generating the same cases
 		cex := iter%2 == 0
-		interned := analyzeAllModes(t, c, c.Msgs, cex)
+		production := analyzeAllModes(t, c, c.Msgs, cex)
 		legacyRes := analyzeAllModes(t, c, relegacy, cex)
-		want := interned[0]
-		if interned[1] != want {
-			t.Fatalf("iter %d: interned online mode diverged:\n--- offline ---\n%s--- online ---\n%s",
-				iter, want, interned[1])
+		want := production[0]
+		if production[1] != want {
+			t.Fatalf("iter %d: production online mode diverged:\n--- offline ---\n%s--- online ---\n%s",
+				iter, want, production[1])
 		}
 		for k := range legacyRes {
 			if legacyRes[k] != want {
-				t.Fatalf("iter %d: legacy-clock mode %d diverged from interned:\n--- interned ---\n%s--- legacy ---\n%s",
+				t.Fatalf("iter %d: legacy-clock mode %d diverged from production:\n--- production ---\n%s--- legacy ---\n%s",
 					iter, k, want, legacyRes[k])
 			}
 		}

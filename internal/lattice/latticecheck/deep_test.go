@@ -52,7 +52,7 @@ func deepCase(rng *rand.Rand, threads int) Case {
 //  3. explorer parity — when the lattice is small enough to
 //     materialize, both explorer modes produce byte-identical verdicts
 //     from the production messages and from the legacy vectors
-//     re-interned.
+//     rebuilt with clock.New.
 //
 // This pins the clock layer in the regime the unit tests' toy vectors
 // do not reach: thousand-component clocks with wide fan-in joins.
@@ -148,10 +148,9 @@ func TestDeepThreadClockParity(t *testing.T) {
 				t.Logf("t%d: lattice too large to materialize (%d messages), explorer parity skipped", threads, m)
 				return
 			}
-			table := clock.NewTable()
 			relegacy := make([]event.Message, len(leg.Msgs))
 			for k, lm := range leg.Msgs {
-				relegacy[k] = event.Message{Event: lm.Event, Clock: table.Intern(lm.Clock)}
+				relegacy[k] = event.Message{Event: lm.Event, Clock: clock.New(lm.Clock)}
 			}
 			res := analyzeAllModes(t, c, msgs, true)
 			legacyRes := analyzeAllModes(t, c, relegacy, true)

@@ -1,6 +1,6 @@
 // legacy.go carries a reference implementation of Algorithm A on the
 // mutable vc.VC substrate — the representation the pipeline used
-// before clocks were interned. It exists purely as a differential
+// before clocks became immutable clock.Ref values. It exists purely as a differential
 // oracle: the clock-parity harness replays every random workload
 // through both this tracker and the production mvc.Tracker and demands
 // the two agree message-for-message and clock-for-clock, and that the
@@ -8,7 +8,7 @@
 //
 // The implementation is deliberately naive: every stored vector is an
 // owned copy, every emission clones, and the write step materializes
-// two fresh vectors where the interned tracker shares one handle. That
+// two fresh vectors where the production tracker shares one handle. That
 // is the point — it is the simplest possible transcription of Fig. 2,
 // so disagreement with mvc.Tracker indicts the optimized code.
 package latticecheck
@@ -20,14 +20,14 @@ import (
 )
 
 // LegacyMessage is a relevant-event message carrying a mutable legacy
-// clock instead of an interned Ref.
+// clock instead of an immutable Ref.
 type LegacyMessage struct {
 	Event event.Event
 	Clock vc.VC
 }
 
 // LegacyTracker runs Algorithm A on vc.VC values, cloning wherever the
-// interned tracker shares structure.
+// production tracker shares structure.
 type LegacyTracker struct {
 	policy  mvc.Policy
 	threads []vc.VC // V_i

@@ -106,12 +106,13 @@ type varClocks struct {
 	events *telemetry.Counter
 }
 
-// Tracker runs Algorithm A on the interned clock substrate: every
-// vector-clock value lives in the tracker's clock.Table, step 1 is a
-// persistent Tick, steps 2-3 are persistent Joins (the write step's
-// V_w = V_a = V_i is pure handle sharing), and step 4 emits the
-// thread's Ref itself — no clone per message. Tracker is not safe for
-// concurrent use; see ConcurrentTracker.
+// Tracker runs Algorithm A on persistent clock values: step 1 is a
+// Tick, steps 2-3 are Joins (the write step's V_w = V_a = V_i is pure
+// handle sharing), and step 4 emits the thread's Ref itself — no clone
+// per message. Values are built fresh, not interned (the tracker's
+// clock.Table only counts them): by Theorem 3 no two emitted clocks
+// are equal. Tracker is not safe for concurrent use; see
+// ConcurrentTracker.
 type Tracker struct {
 	policy  Policy
 	sink    Sink
@@ -145,9 +146,9 @@ func NewTracker(n int, policy Policy, sink Sink) *Tracker {
 	return t
 }
 
-// Table returns the tracker's interning table. All clocks the tracker
-// emits are canonical within it, so Refs taken from one tracker are
-// directly comparable and usable as map keys.
+// Table returns the table the tracker builds its clocks through, whose
+// Size counts the values built so far. Compare the emitted clocks with
+// clock.Equal: equal values need not share a Ref.
 func (t *Tracker) Table() *clock.Table { return t.table }
 
 // Threads returns the number of registered threads.
@@ -192,7 +193,7 @@ func (t *Tracker) Vars() []string {
 // Fork registers a new thread whose clock starts as the parent's,
 // establishing causal precedence of all the parent's prior events over
 // all of the child's events. It returns the child thread id. This
-// realizes the dynamic thread creation extension (§2); with interned
+// realizes the dynamic thread creation extension (§2); with immutable
 // clocks the child shares the parent's clock structurally — Spawn
 // allocates nothing.
 func (t *Tracker) Fork(parent int) int {
@@ -305,7 +306,7 @@ func (t *Tracker) Process(e event.Event) event.Event {
 	t.threads[i] = vi
 
 	// Step 4: if e is relevant, send <e, i, V_i> to the observer. The
-	// emitted clock is the interned value itself — nothing to clone.
+	// emitted clock is the immutable value itself — nothing to clone.
 	if e.Relevant {
 		t.emitted++
 		mEmitted.Inc()

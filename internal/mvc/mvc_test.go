@@ -437,3 +437,29 @@ func TestProcessPanicsOnBadThread(t *testing.T) {
 	}()
 	tr.Internal(3)
 }
+
+// TestTrackerAllocations pins Algorithm A's allocations on a fixed
+// 4-thread event list: one per relevant tick (a clock of at most 8
+// components is one block), three per Join that neither side
+// dominates (node, spine, mixed chunk), and 14 for the tracker
+// itself: NewTracker's 7, one record per variable (6) and the
+// variables map's storage. No clock is hashed or kept in a table.
+func TestTrackerAllocations(t *testing.T) {
+	ops := trace.RandomOps(rand.New(rand.NewSource(3)), trace.GenConfig{Threads: 4, Vars: 4, Length: 256})
+	policy := mvc.WritesOf(trace.VarName(0), trace.VarName(1))
+	var tr *mvc.Tracker
+	got := testing.AllocsPerRun(20, func() {
+		tr = mvc.NewTracker(4, policy, nil)
+		for _, op := range ops {
+			tr.Process(event.Event{Thread: op.Thread, Kind: op.Kind, Var: op.Var, Value: op.Value})
+		}
+	})
+	if want := float64(41 + 3*32 + 14); got != want {
+		t.Errorf("Algorithm A over the fixed event list costs %v allocations, want %v", got, want)
+	}
+	ticks := int(tr.Emitted())
+	joins := tr.Table().Size() - ticks
+	if vars := len(tr.Vars()); ticks != 41 || joins != 32 || vars != 6 {
+		t.Errorf("the event list drifted: %d ticks, %d general joins, %d variables; want 41, 32, 6", ticks, joins, vars)
+	}
+}

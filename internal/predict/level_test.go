@@ -56,7 +56,7 @@ func gridComputation(t *testing.T, threads, perThread int) (*lattice.Computation
 			comps[i] = uint64(k)
 			msgs = append(msgs, event.Message{
 				Event: event.Event{Thread: i, Kind: event.Write, Var: fmt.Sprintf("g%d", i), Value: int64(k), Relevant: true},
-				Clock: clock.Global().Intern(comps),
+				Clock: clock.New(comps),
 			})
 		}
 	}
@@ -149,49 +149,6 @@ func TestParallelOnlineMatchesSequential(t *testing.T) {
 	}
 	if checked < 40 {
 		t.Fatalf("only %d cases checked", checked)
-	}
-}
-
-// TestParallelFirstOnly: FirstOnly reports the same single canonical
-// violation, and stops at the same level, offline and online.
-func TestParallelFirstOnly(t *testing.T) {
-	t.Parallel()
-	pulses, pulseInit := pulseMessages(2, 3)
-	cases := []struct {
-		name    string
-		prog    *monitor.Program
-		initial logic.State
-		msgs    []event.Message // in delivery order for the online runs
-	}{
-		{"landing", landingProp, logic.StateFromMap(map[string]int64{"landing": 0, "approved": 0, "radio": 1}), []event.Message{
-			msg(1, "radio", 0, 0, 1),
-			msg(0, "landing", 1, 2, 0),
-			msg(0, "approved", 1, 1, 0),
-		}},
-		// Nine violating cuts over four levels: FirstOnly must stop at
-		// level 2 with the first of them.
-		{"pulse2x3", monitor.MustCompile(logic.MustParseFormula(`!(v0 = 1 /\ v1 = 1)`)), pulseInit, pulses},
-	}
-	for _, tc := range cases {
-		comp, err := lattice.NewComputation(tc.initial, 2, tc.msgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := Analyze(tc.prog, comp, Options{FirstOnly: true, Counterexamples: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq.Violations) != 1 {
-			t.Fatalf("%s: sequential FirstOnly reported %d violations", tc.name, len(seq.Violations))
-		}
-		want := renderResult(seq)
-		o, err := NewOnline(tc.prog, tc.initial, 2, Options{FirstOnly: true, Counterexamples: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderResult(feedAll(t, o, tc.msgs, 2)); got != want {
-			t.Errorf("%s: online FirstOnly differs:\n%s\nvs\n%s", tc.name, got, want)
-		}
 	}
 }
 

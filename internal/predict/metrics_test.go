@@ -59,7 +59,7 @@ func gridMessages(threads, perThread int) ([]event.Message, logic.State) {
 			comps[i] = uint64(k)
 			msgs = append(msgs, event.Message{
 				Event: event.Event{Thread: i, Kind: event.Write, Var: fmt.Sprintf("g%d", i), Value: int64(k), Relevant: true},
-				Clock: clock.Global().Intern(comps),
+				Clock: clock.New(comps),
 			})
 		}
 	}
@@ -82,7 +82,7 @@ func pulseMessages(threads, pulses int) ([]event.Message, logic.State) {
 			comps[i] = uint64(k)
 			msgs = append(msgs, event.Message{
 				Event: event.Event{Thread: i, Kind: event.Write, Var: name, Value: int64(k % 2), Relevant: true},
-				Clock: clock.Global().Intern(comps),
+				Clock: clock.New(comps),
 			})
 		}
 	}

@@ -386,12 +386,8 @@ func (o *Online) advance() error {
 			e.keys, e.viol = nil, nil
 		}
 		o.frontier = out.next
-		stop := o.report(out.next)
+		o.report(out.next)
 		o.opts.Progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
-		if stop {
-			o.frontier = nil
-			return nil
-		}
 	}
 	return nil
 }
@@ -403,20 +399,15 @@ func (o *Online) advance() error {
 // number of monitor states or parents reached it. Result.Violations
 // grows once per level, and each violation's State is built here,
 // over the initial state's names with its own copy of the cut's
-// values, so a stored violation keeps no slab alive. The return value
-// reports that Options.FirstOnly stops the analysis here.
-func (o *Online) report(level []*pentry) (stop bool) {
+// values, so a stored violation keeps no slab alive.
+func (o *Online) report(level []*pentry) {
 	viols := o.cuts[:0]
 	for _, e := range level {
 		if e.viol != nil {
 			viols = append(viols, e)
 		}
 	}
-	n := len(viols)
-	if o.opts.FirstOnly {
-		n = min(n, 1)
-	}
-	o.result.Violations = slices.Grow(o.result.Violations, n)
+	o.result.Violations = slices.Grow(o.result.Violations, len(viols))
 	slices.SortFunc(viols, func(a, b *pentry) int { return clock.Compare(a.counts, b.counts) })
 	for _, e := range viols {
 		viol := Violation{Cut: lattice.NewCut(e.counts, o.initial.WithValues(e.vals))}
@@ -425,13 +416,8 @@ func (o *Online) report(level []*pentry) (stop bool) {
 			viol.Run = &run
 		}
 		o.result.Violations = append(o.result.Violations, viol)
-		if o.opts.FirstOnly {
-			stop = true
-			break
-		}
 	}
 	o.cuts = release(viols)
-	return stop
 }
 
 // expandSuccessors enumerates the consistent single-event extensions

@@ -81,10 +81,6 @@ type Options struct {
 	// costs extra memory (paths are O(depth)); with it off the analyzer
 	// stores only the two active levels, as in the paper.
 	Counterexamples bool
-	// FirstOnly stops at the first violation: the canonically least
-	// violating cut of the shallowest level that has one. Both
-	// analyzers honor it.
-	FirstOnly bool
 	// Lossy makes the online analyzer tolerate lossy sessions instead
 	// of failing: messages that cannot be accepted (duplicates, or
 	// arrivals after a thread completed) are counted and ignored, and

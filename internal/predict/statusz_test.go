@@ -50,14 +50,13 @@ func TestStatuszGoldenFig6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The clock and msg packages publish live process-global sections
-	// whose counters depend on which tests ran before this one; drop
-	// them so the golden pins only the analysis geometry.
+	// The msg package publishes a live process-global section whose
+	// counters depend on which tests ran before this one; drop it so
+	// the golden pins only the analysis geometry.
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(got, &doc); err != nil {
 		t.Fatal(err)
 	}
-	delete(doc, "clock")
 	delete(doc, "messaging")
 	if got, err = json.MarshalIndent(doc, "", "  "); err != nil {
 		t.Fatal(err)

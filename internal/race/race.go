@@ -55,11 +55,10 @@ type syncClocks struct {
 }
 
 // Detector accumulates accesses and predicts races online. Clocks are
-// interned in a per-detector table, so recording an access shares the
-// thread's current clock node instead of cloning it, and the pairwise
-// concurrency checks hit the interned fast paths.
+// immutable values, so recording an access shares the thread's current
+// clock node instead of cloning it, and the pairwise concurrency
+// checks shortcut over the chunks two clocks share.
 type Detector struct {
-	table    *clock.Table
 	clocks   []clock.Ref // per-thread sync-only MVCs
 	syncVars map[string]*syncClocks
 	accesses map[string][]Access
@@ -75,7 +74,6 @@ type Detector struct {
 // NewDetector creates a detector for the given number of threads.
 func NewDetector(threads int) *Detector {
 	return &Detector{
-		table:    clock.NewTable(),
 		clocks:   make([]clock.Ref, threads),
 		syncVars: map[string]*syncClocks{},
 		accesses: map[string][]Access{},
@@ -153,7 +151,7 @@ func (d *Detector) RacyVars() []string {
 // tick advances a thread's clock for a new event of its own.
 func (d *Detector) tick(tid int) {
 	d.seq++
-	d.clocks[tid] = d.table.Tick(d.clocks[tid], tid)
+	d.clocks[tid] = clock.Tick(d.clocks[tid], tid)
 }
 
 // syncWrite applies the paper's lock encoding (§3.1): a write of the
@@ -165,7 +163,7 @@ func (d *Detector) syncWrite(tid int, name string) {
 		c = &syncClocks{}
 		d.syncVars[name] = c
 	}
-	vi := d.table.Join(d.clocks[tid], c.access)
+	vi := clock.Join(d.clocks[tid], c.access)
 	d.clocks[tid] = vi
 	c.access = vi
 	c.write = vi
@@ -232,7 +230,7 @@ func (d *Detector) Internal(tid int) { d.tick(tid) }
 // Spawn implements interp.Hooks: the child's sync-only clock inherits
 // the parent's, ordering everything the parent did before the spawn
 // before everything the child does. The child's clock is the parent's
-// interned node — pure handle sharing, no copy.
+// node — pure handle sharing, no copy.
 func (d *Detector) Spawn(parent, child int) {
 	d.tick(parent)
 	for len(d.clocks) <= child {

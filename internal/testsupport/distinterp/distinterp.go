@@ -38,8 +38,7 @@ import (
 type Interp struct {
 	policy  mvc.Policy
 	sink    mvc.Sink
-	table   *clock.Table // interns emitted clocks; internals stay on vc
-	threads []vc.VC      // thread process clocks
+	threads []vc.VC // thread process clocks
 	counts  []uint64
 	access  map[string]*vc.VC // xa process clocks
 	write   map[string]*vc.VC // xw process clocks
@@ -49,12 +48,11 @@ type Interp struct {
 // New mirrors mvc.NewTracker for the message-passing semantics.
 // The protocol internals deliberately stay on the mutable vc reference
 // clocks (this type exists to validate the paper's §3.2 claim, not to
-// be fast); only the emitted messages intern into a table.
+// be fast); only the emitted messages carry a clock.Ref.
 func New(n int, policy mvc.Policy, sink mvc.Sink) *Interp {
 	d := &Interp{
 		policy:  policy,
 		sink:    sink,
-		table:   clock.NewTable(),
 		threads: make([]vc.VC, n),
 		counts:  make([]uint64, n),
 		access:  map[string]*vc.VC{},
@@ -122,7 +120,7 @@ func (d *Interp) Process(e event.Event) event.Event {
 	}
 
 	if e.Relevant && d.sink != nil {
-		d.sink.Emit(event.Message{Event: e, Clock: d.table.Intern(d.threads[i])})
+		d.sink.Emit(event.Message{Event: e, Clock: clock.New(d.threads[i])})
 	}
 	return e
 }

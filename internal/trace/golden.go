@@ -79,7 +79,7 @@ func ReadMessages(r io.Reader) ([]event.Message, error) {
 		for i, v := range nums[5:] {
 			comps[i] = uint64(v)
 		}
-		m.Clock = clock.Global().Intern(comps)
+		m.Clock = clock.New(comps)
 		out = append(out, m)
 	}
 	return out, sc.Err()

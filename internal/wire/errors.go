@@ -20,7 +20,8 @@ var (
 	ErrTruncated = fmt.Errorf("%w: truncated", ErrBadFrame)
 	// ErrBadLength: a length or count field is out of range (a frame
 	// longer than the size limit, a Hello thread count outside
-	// 1..MaxThreads, a clock longer than the session's thread count).
+	// 1..MaxThreads, a message thread or a clock length at or beyond
+	// the session's thread count).
 	ErrBadLength = fmt.Errorf("%w: length out of range", ErrBadFrame)
 	// ErrBadChecksum: the frame's CRC32C does not match its content.
 	ErrBadChecksum = fmt.Errorf("%w: crc32c mismatch", ErrBadFrame)

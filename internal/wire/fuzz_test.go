@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -68,6 +69,24 @@ func fuzzSession(v2 bool) []byte {
 	return buf.Bytes()
 }
 
+// strayThreadSession is a two-thread session whose second message
+// names the given thread, bound or not, with an otherwise valid write
+// and full clock; its first message is thread 0's.
+func strayThreadSession(thread uint64) []byte {
+	var buf bytes.Buffer
+	s := NewSender(&buf)
+	s.SendHello(Hello{Threads: 2})
+	s.SendMessage(event.Message{Event: event.Event{Thread: 0, Index: 1, Kind: event.Write, Var: "x", Relevant: true}, Clock: clock.Of(1)})
+	// The thread is the uvarint after the kind byte; thread 0 encodes
+	// as the single byte 0.
+	p := appendEventFields(nil, event.Message{Event: event.Event{Index: 1, Seq: 2, Kind: event.Write, Var: "x", Relevant: true}})
+	p = append(binary.AppendUvarint([]byte{p[0]}, thread), p[2:]...)
+	p = appendClockFull(append(p, clockFull), clock.Of(1))
+	s.frame(FrameMessage, p)
+	s.SendBye()
+	return buf.Bytes()
+}
+
 // FuzzReceiver checks both receiver modes are total over arbitrary
 // byte streams: no panics, guaranteed termination, and in resync mode
 // consistent accounting.
@@ -76,6 +95,7 @@ func FuzzReceiver(f *testing.F) {
 	f.Add([]byte{frameMagic, byte(FrameMessage), 1, 3, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{frameMagic, frameMagic, frameMagic})
 	f.Add(fuzzSession(true))
+	f.Add(strayThreadSession(1 << 63))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Strict mode: reads frames until the first error.
 		r := NewReceiver(bytes.NewReader(data))

@@ -20,14 +20,13 @@ import (
 // delta-encodes almost all of them (crossing deltaRefresh boundaries
 // when count is large enough).
 func chainMessages(rng *rand.Rand, threads, count int) []event.Message {
-	table := clock.NewTable()
 	clocks := make([]clock.Ref, threads)
 	var msgs []event.Message
 	for k := 0; k < count; k++ {
 		i := rng.Intn(threads)
-		clocks[i] = table.Tick(clocks[i], i)
+		clocks[i] = clock.Tick(clocks[i], i)
 		if rng.Intn(4) == 0 {
-			clocks[i] = table.Join(clocks[i], clocks[rng.Intn(threads)])
+			clocks[i] = clock.Join(clocks[i], clocks[rng.Intn(threads)])
 		}
 		msgs = append(msgs, event.Message{
 			Event: event.Event{
@@ -203,13 +202,12 @@ func TestCrossVersionSession(t *testing.T) {
 // clocks, and total loss is bounded by deltaRefresh messages.
 func TestCorruptedDeltaChainResync(t *testing.T) {
 	const n = 80
-	table := clock.NewTable()
 	var (
 		msgs []event.Message
 		c    clock.Ref
 	)
 	for k := 1; k <= n; k++ {
-		c = table.Tick(c, 0)
+		c = clock.Tick(c, 0)
 		msgs = append(msgs, event.Message{
 			Event: event.Event{Seq: uint64(k), Thread: 0, Index: uint64(k), Kind: event.Write, Var: "x", Value: int64(k), Relevant: true},
 			Clock: c,

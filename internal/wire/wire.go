@@ -558,11 +558,10 @@ type Receiver struct {
 
 	// Clock decoding state. version is what the Hello announced (until
 	// one arrives, the current version is assumed). threads bounds every
-	// decoded clock's length: the Hello's thread count once one was
-	// delivered, MaxThreads before, so a peer cannot make the session
-	// hold clocks naming threads it never announced. Decoded clocks are
-	// interned nowhere (clock.New): by Theorem 3 no two messages of a
-	// session carry equal clocks, so a session table would never hit.
+	// decoded message's thread and clock length: the Hello's thread
+	// count once one was delivered, MaxThreads before, so a peer cannot
+	// make the session hold clocks, or delta bases in last, for threads
+	// it never announced. Decoded clocks are built with clock.New.
 	// last holds, per thread, the clock of the last *delivered*
 	// message — the base a v3 delta chains to. It is committed only on
 	// delivery (in Next), never during candidate parsing, so corrupt or
@@ -896,16 +895,22 @@ func (r *Receiver) parseCandidate() (f Frame, payload []byte, size int, corrupt 
 }
 
 // decodeMessage decodes a message payload under the session's
-// negotiated protocol version, building the clock in no table. Delta
-// clocks are applied against the last delivered message of the same
-// thread; a broken chain (the predecessor was lost,
-// corrupted, or this frame is a stale duplicate) fails with
-// ErrDeltaChain, which resync mode counts as a corrupt frame — the
-// thread's messages then skip until the sender's next full clock.
+// negotiated protocol version. A thread outside [0, r.threads) fails
+// with ErrBadLength. Delta clocks are applied against the last
+// delivered message of the same thread; a broken chain (the
+// predecessor was lost, corrupted, or this frame is a stale duplicate)
+// fails with ErrDeltaChain, which resync mode counts as a corrupt
+// frame — the thread's messages then skip until the sender's next full
+// clock.
 func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 	m, off, err := decodeEventFields(payload)
 	if err != nil {
 		return m, err
+	}
+	// The thread field follows the kind byte. A uvarint of 2^63 or more
+	// has wrapped negative.
+	if m.Event.Thread < 0 || m.Event.Thread >= r.threads {
+		return m, msgErr(1, "thread", ErrBadLength)
 	}
 	if r.version == ProtocolVersionV2 {
 		comps, _, err := decodeClockFull(payload, off, r.clkScratch, r.threads)

@@ -365,6 +365,51 @@ func TestHelloThreadBound(t *testing.T) {
 	}
 }
 
+// TestMessageThreadBound: a message whose thread the Hello did not
+// announce (thread = Threads, or a uvarint of 2^63 or more, which
+// would wrap negative) is rejected before delivery, so it never gets
+// a delta base: ErrBadLength in strict mode, one corrupt frame in
+// resync mode.
+func TestMessageThreadBound(t *testing.T) {
+	for _, thread := range []uint64{2, 1 << 63, 1<<64 - 1} {
+		raw := strayThreadSession(thread)
+		r := NewReceiver(bytes.NewReader(raw))
+		delivered := 0
+		var err error
+		for err == nil {
+			var f Frame
+			if f, err = r.Next(); err == nil && f.Kind == FrameMessage {
+				delivered++
+			}
+		}
+		if !errors.Is(err, ErrBadLength) || delivered != 1 || len(r.last) != 1 {
+			t.Errorf("thread %d: strict receiver delivered %d messages, holds %d delta bases, err %v; want 1, 1, ErrBadLength",
+				thread, delivered, len(r.last), err)
+		}
+		r = NewResyncReceiver(bytes.NewReader(raw))
+		delivered = 0
+		for _, f := range drainFrames(t, r) {
+			if f.Kind == FrameMessage {
+				delivered++
+			}
+		}
+		if s := r.Stats(); s.CorruptFrames != 1 || delivered != 1 || len(r.last) != 1 {
+			t.Errorf("thread %d: resync receiver delivered %d messages, holds %d delta bases, stats %s; want 1, 1, one corrupt frame",
+				thread, delivered, len(r.last), s)
+		}
+	}
+	// The largest announced thread is accepted.
+	delivered := 0
+	for _, f := range drainFrames(t, NewReceiver(bytes.NewReader(strayThreadSession(1)))) {
+		if f.Kind == FrameMessage {
+			delivered++
+		}
+	}
+	if delivered != 2 {
+		t.Errorf("thread 1: delivered %d messages, want 2", delivered)
+	}
+}
+
 // TestReceiverResumesAfterReadDeadline pins the contract the observer's
 // inline read relies on: a Next that fails on the transport's read
 // deadline mid-frame loses nothing, and once the deadline is extended
